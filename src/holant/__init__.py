@@ -7,7 +7,7 @@ non-negative signatures satisfying a generalized second-order recurrence
 this package classifies the signature, finds a stabilizing orthogonal
 holographic transform when one exists, and evaluates the partition
 function through the zero-free-region Taylor-truncation method, with an
-exact brute-force oracle and gadget utilities alongside.
+exact oracle and gadget utilities alongside.
 """
 
 from .classify import (

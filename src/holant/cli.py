@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -46,7 +45,6 @@ from .graphs import (
     cycle,
     petersen,
     random_regular,
-    set_thread_cap,
 )
 from .signatures import normalize_leading
 from .stability import Poly, find_roots
@@ -230,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="holant", description=__doc__)
     ap.add_argument("--quiet", action="store_true", help="print only the scalar outcome")
     ap.add_argument("--timing", action="store_true", help="include wall time in reports")
-    ap.add_argument("--threads", type=int, default=None, help="worker cap for enumeration")
+    ap.add_argument("--threads", type=int, default=None, help="ignored; the exact oracle runs on one thread")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify a signature")
@@ -244,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_approx)
 
-    p = sub.add_parser("exact", help="brute-force oracle")
+    p = sub.add_parser("exact", help="exact oracle")
     p.add_argument("signature")
     p.add_argument("graph")
     p.add_argument("--force", action="store_true")
@@ -282,10 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("HOLANT_THREADS", "1"))
-    set_thread_cap(threads)
     try:
         return args.func(args)
     except GuardExceeded as exc:

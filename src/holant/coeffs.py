@@ -96,7 +96,9 @@ def naive_low_coeffs(g: Multigraph, f: SymmetricSignature, k: int, force: bool =
     """Exact Z_0..Z_k by enumerating edge subsets of size <= k.
 
     Untouched vertices contribute the factor f_0 = 1.  Work is guarded by
-    sum_j C(m, j) <= 1e8.  Exact entries give exact (Fraction) output.
+    sum_j C(m, j) <= 1e8.  The full prefix (k >= m) of a d-regular graph
+    comes from the oracle's contraction instead, under the oracle's own
+    guards.  Exact entries give exact (Fraction) output.
     """
     _check_f0_one(f)
     if k < 0:
@@ -106,12 +108,13 @@ def naive_low_coeffs(g: Multigraph, f: SymmetricSignature, k: int, force: bool =
     if max(deg, default=0) > f.arity:
         raise ArgumentError("graph degree exceeds signature arity")
     k = min(k, m)
+    if k == m and m > 0 and all(x == f.arity for x in deg):
+        # d-regular full prefix: the oracle's contraction enumerates nothing,
+        # so the subset work guard below does not apply to it
+        return brute_force_coeffs(g, f, force=True)
     work = sum(math.comb(m, j) for j in range(k + 1))
     if work > NAIVE_WORK_GUARD:
         raise GuardExceeded(f"subset enumeration of {work:.2e} exceeds the work guard")
-    if k == m and m > 0 and all(x == f.arity for x in deg):
-        # d-regular full prefix: the vectorized oracle path is faster
-        return brute_force_coeffs(g, f, force=True)
 
     exact = f.is_exact
     table = f.values if exact else [complex(v) for v in f.values]

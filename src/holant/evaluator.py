@@ -34,7 +34,7 @@ from .coeffs import (
     power_sums_from_coeffs,
 )
 from .errors import ArgumentError, HolantError
-from .graphs import EDGE_LIMIT_SOFT, Multigraph
+from .graphs import Multigraph
 from .signatures import SymmetricSignature, local_polynomial, reverse
 from .stability import DELTA_CAP, Poly, find_roots, h_eps_stability, strip_halfwidth
 from .transform import Matrix2, StableTransform, apply_holographic, cast_real, rotation_from_w
@@ -259,8 +259,7 @@ class _Attempt:
             raise HolantError("transformed local polynomial failed the stability check")
         self.delta_cert = strip_halfwidth(self.cert.eps)
         self.c, self.engine = _coefficient_prefix(g, self.gprime)
-        self.have_full = len(self.c) == g.m + 1
-        self.rungs = _build_rungs(self.delta_cert, self.c if self.have_full else None)
+        self.rungs = _build_rungs(self.delta_cert, self.c)
 
     def run_ladder(self, eps: float, k0: int):
         """(T, phi, k, sound, accepted_flag) for the first stabilized rung,
@@ -270,8 +269,6 @@ class _Attempt:
             phi = build_phi(dp)
             floor = _rung_floor(dp)
             k = min(max(k0, floor), K_GUARD)
-            if not self.have_full:
-                k = min(k, len(self.c) - 1)
             while True:
                 T = _series_estimates(self.c, phi, k)
                 j = _scan_stop(np.real(T), eps, floor)
@@ -284,7 +281,7 @@ class _Attempt:
                     tail = abs(float(np.real(T[jfin - 1]) - np.real(T[jfin - 2])))
                     if fallback is None or tail < fallback[0]:
                         fallback = (tail, T[:jfin], phi, jfin, sound)
-                if k >= K_GUARD or (not self.have_full and k >= len(self.c) - 1):
+                if k >= K_GUARD:
                     break
                 k = min(2 * k, K_GUARD)
         if fallback is None:
@@ -404,20 +401,19 @@ def _margin_search(f: SymmetricSignature):
 
 
 def _coefficient_prefix(g: Multigraph, gprime: SymmetricSignature):
-    """Z_0..Z_k of P_G for the normalized signature, via the allowed engine."""
+    """All of Z_0..Z_m of P_G for the normalized signature.
+
+    Past the oracle's hard edge limit, or its contraction cap, the oracle
+    raises GuardExceeded.  No shorter prefix is tried: every rung's
+    convergence floor exceeds what a short prefix holds, and rung
+    soundness needs the roots of all of P_G.
+    """
     m = g.m
     if m <= ADDITIVE_K_GUARD and g.is_simple:
         p = additive_power_sums(g, gprime, m)
         return np.real(coeffs_from_power_sums(p, m)), "additive"
-    if m <= EDGE_LIMIT_SOFT:
-        c = naive_low_coeffs(g, gprime, m)
-        return np.asarray([float(np.real(x)) for x in c]), "naive"
-    # beyond oracle scale only a short prefix is available
-    k = ADDITIVE_K_GUARD
-    while sum(math.comb(m, j) for j in range(k + 1)) > 10**8:
-        k -= 1
-    c = naive_low_coeffs(g, gprime, k)
-    return np.asarray([float(np.real(x)) for x in c]), "naive-prefix"
+    c = naive_low_coeffs(g, gprime, m)
+    return np.asarray([float(np.real(x)) for x in c]), "naive"
 
 
 def _build_rungs(delta_cert: float, full_coeffs):
@@ -437,11 +433,8 @@ def _build_rungs(delta_cert: float, full_coeffs):
     cands.extend((dp, False) for dp in DEFAULT_RUNGS if dp > cert_dp)
     if not cands:
         cands = [(DEFAULT_RUNGS[-1], False)]
-    roots = None
-    if full_coeffs is not None:
-        poly = Poly(tuple(full_coeffs))
-        if poly.degree >= 1:
-            roots = find_roots(poly)
+    poly = Poly(tuple(full_coeffs))
+    roots = find_roots(poly) if poly.degree >= 1 else None
     sound, murky, doomed = [], [], []
     for dp, certified in cands:
         ok = certified

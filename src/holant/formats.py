@@ -12,6 +12,7 @@ Matrices are serialized as 2x2 arrays of [re, im] pairs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 from fractions import Fraction
@@ -57,15 +58,30 @@ def number_to_json(v):
     return [c.real, c.imag]
 
 
+@contextlib.contextmanager
+def _malformed(what: str):
+    """Report a missing or mistyped field of outside JSON as ArgumentError."""
+    try:
+        yield
+    except ArgumentError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        raise ArgumentError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
+
+
+def _signature_from_json(obj) -> SymmetricSignature:
+    return signature([parse_number(v) if isinstance(v, str) else v for v in obj["values"]])
+
+
 def parse_signature(text: str) -> SymmetricSignature:
     """Parse either the one-line text form or the JSON object form."""
     stripped = text.strip()
     if stripped.startswith("{"):
-        obj = json.loads(stripped)
-        values = [parse_number(v) if isinstance(v, str) else v for v in obj["values"]]
-        sig = signature(values)
-        if "arity" in obj and int(obj["arity"]) != sig.arity:
-            raise ArgumentError("arity field does not match the number of values")
+        with _malformed("signature JSON"):
+            obj = json.loads(stripped)
+            sig = _signature_from_json(obj)
+            if "arity" in obj and int(obj["arity"]) != sig.arity:
+                raise ArgumentError("arity field does not match the number of values")
         return sig
     m = _SIG_RE.match(stripped)
     if not m:
@@ -153,6 +169,9 @@ def approx_to_json(res: ApproxResult) -> dict:
             "rung_sound": res.diagnostics["rung_sound"],
             "rungs_tried": res.diagnostics["rungs_tried"],
             "imag_residue": res.diagnostics["imag_residue"],
+            "transform_source": res.diagnostics["transform_source"],
+            "phi_order": res.diagnostics["phi_order"],
+            "phi_alpha": res.diagnostics["phi_alpha"],
         },
     }
 
@@ -164,16 +183,14 @@ def parse_gadget(text: str):
              "signatures": {name: {"arity":..,"values":[..]}},
              "assign": [name per vertex], "edge_signature": [b0,b1,b2]}
     """
-    obj = json.loads(text)
-    g = Multigraph(int(obj["n"]), tuple((int(u), int(v)) for u, v in obj["edges"]))
-    named = {}
-    for name, spec in obj["signatures"].items():
-        values = [parse_number(v) if isinstance(v, str) else v for v in spec["values"]]
-        named[name] = signature(values)
-    assign = tuple(named[name] for name in obj["assign"])
-    dangling = tuple((int(v), int(c)) for v, c in obj["dangling"])
-    edge_sig = [parse_number(v) if isinstance(v, str) else v for v in obj["edge_signature"]]
-    return OpenGadget(g, dangling, assign), edge_sig
+    with _malformed("gadget JSON"):
+        obj = json.loads(text)
+        g = Multigraph(int(obj["n"]), tuple((int(u), int(v)) for u, v in obj["edges"]))
+        named = {name: _signature_from_json(spec) for name, spec in obj["signatures"].items()}
+        assign = tuple(named[name] for name in obj["assign"])
+        dangling = tuple((int(v), int(c)) for v, c in obj["dangling"])
+        edge_sig = [parse_number(v) if isinstance(v, str) else v for v in obj["edge_signature"]]
+        return OpenGadget(g, dangling, assign), edge_sig
 
 
 def roots_csv(rows) -> str:

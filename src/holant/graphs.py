@@ -1,19 +1,27 @@
 """Multigraphs, instance generators, the exact oracle, and gadget composition.
 
-The oracle sums over all {0,1} edge assignments; a chosen self-loop adds 2
-to the incident count of its vertex.  With exact (int/Fraction) signature
-entries the sum is carried out in rational arithmetic, otherwise in double
-precision with compensated accumulation.
+The oracle sums over all {0,1} edge assignments (a chosen self-loop adds
+2 to the incident count of its vertex) without enumerating them: it
+contracts the Holant instance as a tensor network by a frontier dynamic
+program over the edges.  The state is one array with a degree axis (the
+number of chosen edges so far) and one count axis per vertex that has
+some but not all of its edges placed.  Placing an edge adds a copy of the
+state shifted by one on the degree axis and on both endpoint axes (by two
+on a self-loop's axis); a vertex whose last edge is placed is contracted
+with its signature.  brute_force_Z needs no strata and keeps the degree
+axis at length 1.  Edges are placed in a greedy order that keeps the
+state small, and the largest state of that order is sized before any
+work starts.
 
-Enumeration is chunked; chunk results are merged in index order so totals
-are deterministic.  A thread pool may be enabled for the float path.
+With exact (int/Fraction) signature entries the state holds Python
+numbers and the result is exact; otherwise it is a float or complex array.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,18 +31,11 @@ from .errors import ArgumentError, AsymmetricGadget, GuardExceeded
 from .signatures import SymmetricSignature
 
 # Hard ceiling on oracle instance size, and the practical ceiling above
-# which a force flag is required (2^26 assignments).
+# which a force flag is required.
 EDGE_LIMIT_HARD = 40
 EDGE_LIMIT_SOFT = 26
-_CHUNK_BITS = 16
-
-# worker cap for the float enumeration path (1 = sequential)
-_max_threads = 1
-
-
-def set_thread_cap(n: int) -> None:
-    global _max_threads
-    _max_threads = max(1, int(n))
+# Largest contraction state, in array entries, that a plan may call for.
+ENTRY_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -75,14 +76,6 @@ class Multigraph:
                 return False
             seen.add(key)
         return True
-
-    def incidence_counts(self) -> np.ndarray:
-        """m x n matrix; entry (e, v) is how many endpoints of e equal v."""
-        inc = np.zeros((self.m, self.n), dtype=np.int64)
-        for e, (u, v) in enumerate(self.edges):
-            inc[e, u] += 1
-            inc[e, v] += 1
-        return inc
 
     def adjacency_sets(self) -> list:
         adj = [set() for _ in range(self.n)]
@@ -171,112 +164,138 @@ def _check_guards(m: int, force: bool) -> None:
         )
 
 
-def _exact_mode(sigs) -> bool:
-    return all(s.is_exact for s in sigs)
+def _live_lengths(sigs) -> list:
+    """Per vertex, one past the largest count whose signature entry is nonzero.
 
-
-def _coeffs_rational(g: Multigraph, sigs) -> list:
-    m = g.m
-    ends = g.edges
-    acc = [Fraction(0)] * (m + 1)
-    counts = [0] * g.n
-    tables = [s.values for s in sigs]
-    # Gray-code walk so each step flips one edge
-    prev = 0
-    weight = 0
-    for idx in range(1 << m):
-        gray = idx ^ (idx >> 1)
-        diff = gray ^ prev
-        if diff:
-            e = diff.bit_length() - 1
-            u, v = ends[e]
-            if gray & diff:
-                counts[u] += 1
-                counts[v] += 1
-                weight += 1
-            else:
-                counts[u] -= 1
-                counts[v] -= 1
-                weight -= 1
-            prev = gray
-        term = Fraction(1)
-        for w in range(g.n):
-            fw = tables[w][counts[w]]
-            if fw == 0:
-                term = Fraction(0)
-                break
-            term *= fw
-        acc[weight] += term
-    return acc
-
-
-def _coeffs_float_chunk(lo: int, hi: int, inc: np.ndarray, table: np.ndarray, m: int, want_strata: bool):
-    idx = np.arange(lo, hi, dtype=np.uint64)
-    bits = ((idx[:, None] >> np.arange(m, dtype=np.uint64)) & np.uint64(1)).astype(np.int64)
-    counts = bits @ inc  # (#assignments, n)
-    rows = np.arange(table.shape[0])
-    vals = table[rows[None, :], counts]
-    prod = np.prod(vals, axis=1)
-    if not want_strata:
-        return np.array([prod.sum()])
-    weights = bits.sum(axis=1)
-    if np.iscomplexobj(prod):
-        out = np.bincount(weights, weights=prod.real, minlength=m + 1).astype(complex)
-        out += 1j * np.bincount(weights, weights=prod.imag, minlength=m + 1)
-    else:
-        out = np.bincount(weights, weights=prod, minlength=m + 1)
+    Counts only grow as edges are placed, so a state whose count at v has
+    reached this length contributes nothing and is never stored.  A zero
+    signature keeps length 1, whose only entry contracts to 0.
+    """
+    out = []
+    for s in sigs:
+        live = [i for i, x in enumerate(s.values) if x != 0]
+        out.append(live[-1] + 1 if live else 1)
     return out
 
 
-def _coeffs_float(g: Multigraph, sigs, want_strata: bool) -> np.ndarray:
-    m = g.m
-    inc = g.incidence_counts()
-    dmax = max(s.arity for s in sigs)
-    any_complex = not all(s.is_real for s in sigs)
-    dtype = complex if any_complex else float
-    table = np.zeros((g.n, dmax + 1), dtype=dtype)
-    for v, s in enumerate(sigs):
-        table[v, : s.arity + 1] = [complex(x) if any_complex else float(complex(x).real) for x in s.values]
-    total = 1 << m
-    step = 1 << _CHUNK_BITS
-    spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    if _max_threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=_max_threads) as pool:
-            parts = list(
-                pool.map(lambda s: _coeffs_float_chunk(s[0], s[1], inc, table, m, want_strata), spans)
-            )
+def _plan(g: Multigraph, live: list, graded: bool):
+    """Greedy edge order and the entry count of the largest state it builds.
+
+    Each step places the unplaced edge whose state, after finished vertices
+    are contracted, is smallest (then whose grown state is smallest, then
+    the lowest edge index), so the order is a deterministic function of
+    the graph and the signatures' live lengths.
+    """
+    remaining = g.degrees()
+    lengths = {}  # frontier vertex -> axis length
+    todo = list(range(g.m))
+    order = []
+    peak = 1
+    for step in range(g.m):
+        depth = step + 2 if graded else 1
+        best = None
+        for e in todo:
+            u, v = g.edges[e]
+            grown = dict(lengths)
+            left = {}
+            for w in (u, v):
+                grown[w] = min(grown.get(w, 1) + 1, live[w])
+                left[w] = left.get(w, remaining[w]) - 1
+            size = depth * math.prod(grown.values())
+            after = depth * math.prod(n for w, n in grown.items() if left.get(w, 1))
+            key = (after, size, e)
+            if best is None or key < best[0]:
+                best = (key, grown, left)
+        (_, size, e), grown, left = best
+        peak = max(peak, size)
+        for w, k in left.items():
+            remaining[w] = k
+            if not k:
+                del grown[w]
+        lengths = grown
+        order.append(e)
+        todo.remove(e)
+    return order, peak
+
+
+def _contract(g: Multigraph, sigs, order: list, live: list, graded: bool) -> np.ndarray:
+    """Run a plan: the state holds one degree axis and one count axis per
+    frontier vertex, and every axis grows only as edges are placed."""
+    if all(s.is_exact for s in sigs):
+        dtype = object
+        tables = [np.array(s.values, dtype=object) for s in sigs]
     else:
-        parts = [_coeffs_float_chunk(lo, hi, inc, table, m, want_strata) for lo, hi in spans]
-    size = m + 1 if want_strata else 1
-    acc = np.zeros(size, dtype=dtype)
-    for part in parts:  # fixed merge order -> deterministic totals
-        acc += part
-    if not any_complex:
-        acc = acc.real
-    return acc
+        real = all(s.is_real for s in sigs)
+        dtype = float if real else complex
+        tables = [np.array([complex(x).real if real else complex(x) for x in s.values]) for s in sigs]
+    remaining = g.degrees()
+    frontier = []  # vertex of state axis i + 1
+    state = np.ones(1, dtype=dtype)
+    for e in order:
+        u, v = g.edges[e]
+        for w in (u, v):
+            if w not in frontier:
+                frontier.append(w)
+                state = state[..., None]
+        shift = [1 if graded else 0] + [0] * len(frontier)
+        shift[frontier.index(u) + 1] += 1
+        shift[frontier.index(v) + 1] += 1
+        caps = [math.inf] + [live[w] for w in frontier]
+        shape = tuple(min(n + s, c) for n, s, c in zip(state.shape, shift, caps))
+        grown = np.zeros(shape, dtype=dtype)
+        grown[tuple(slice(0, n) for n in state.shape)] = state
+        dst = tuple(slice(s, n) for n, s in zip(shape, shift))
+        src = tuple(slice(0, max(n - s, 0)) for n, s in zip(shape, shift))
+        grown[dst] += state[src]
+        state = grown
+        remaining[u] -= 1
+        remaining[v] -= 1
+        for w in dict.fromkeys((u, v)):
+            if not remaining[w]:
+                i = frontier.index(w) + 1
+                state = np.tensordot(state, tables[w][: state.shape[i]], axes=([i], [0]))
+                frontier.remove(w)
+    return state
+
+
+def _contraction(g: Multigraph, assign, force: bool, graded: bool) -> np.ndarray:
+    """Sum over edge assignments by a frontier dynamic program over the edges.
+
+    The plan is sized before any array is allocated; a plan whose largest
+    state exceeds ENTRY_CAP entries is refused.
+    """
+    sigs = _vertex_signatures(g, assign)
+    _check_guards(g.m, force)
+    live = _live_lengths(sigs)
+    order, peak = _plan(g, live, graded)
+    if peak > ENTRY_CAP:
+        raise GuardExceeded(
+            f"the contraction plan needs a state of {peak:,} entries, above the cap of {ENTRY_CAP:,}"
+        )
+    return _contract(g, sigs, order, live, graded)
 
 
 def brute_force_coeffs(g: Multigraph, assign, force: bool = False):
     """Stratified sums Z_0..Z_m: Z_k sums over assignments of weight k.
 
     Exact (list of Fractions) when all signature entries are rational,
-    else a numpy vector.  sum_k Z_k equals brute_force_Z.
+    else a numpy vector, real when every signature is real.  sum_k Z_k
+    equals brute_force_Z.
     """
-    sigs = _vertex_signatures(g, assign)
-    _check_guards(g.m, force)
-    if _exact_mode(sigs):
-        return _coeffs_rational(g, sigs)
-    return _coeffs_float(g, sigs, want_strata=True)
+    out = _contraction(g, assign, force, graded=True)
+    if out.dtype == object:
+        return [Fraction(x) for x in out]
+    return out
 
 
 def brute_force_Z(g: Multigraph, assign, force: bool = False):
     """Exact partition function: sum over edge assignments of vertex weights."""
-    sigs = _vertex_signatures(g, assign)
-    _check_guards(g.m, force)
-    if _exact_mode(sigs):
-        return sum(_coeffs_rational(g, sigs))
-    acc = _coeffs_float(g, sigs, want_strata=False)
-    return complex(acc[0]) if np.iscomplexobj(acc) else float(acc[0])
+    z = _contraction(g, assign, force, graded=False)[0]
+    if isinstance(z, np.complexfloating):
+        return complex(z)
+    if isinstance(z, np.floating):
+        return float(z)
+    return Fraction(z)
 
 
 # ----------------------------------------------------------------------

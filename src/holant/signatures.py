@@ -3,7 +3,7 @@
 A symmetric signature of arity d is the weight vector [f_0, ..., f_d]: the
 value of a d-ary constraint on inputs of Hamming weight i is f_i.  Entries
 may be ints, Fractions, or floats; exact entries are preserved so the
-brute-force oracle can run in rational arithmetic.
+exact oracle can run in rational arithmetic.
 
 All operations are pure functions of immutable inputs.
 """

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ from holant.formats import (
     parse_signature,
     roots_csv,
 )
-from holant.graphs import complete
+from holant.graphs import complete, random_regular
 from holant.signatures import signature
 
 
@@ -150,6 +151,40 @@ def test_guard_refusal_exit_code(capsys, files, tmp_path):
     code, _, err = run(capsys, "exact", files["matchings"], big)
     assert code == 2
     assert "refusal" in err
+
+
+def test_approx_past_the_hard_edge_limit_is_refused_at_once(capsys, files, tmp_path):
+    big = tmp_path / "big.graph"
+    big.write_text(dump_graph(random_regular(28, 3, seed=1)))  # 42 edges
+    started = time.perf_counter()
+    code, out, err = run(capsys, "approx", files["matchings"], str(big))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and out == ""
+    assert "hard oracle limit" in json.loads(err)["refusal"]
+
+
+def test_approx_report_names_transform_and_phi(capsys, files):
+    code, out, _ = run(capsys, "approx", files["matchings"], files["k4"])
+    assert code == 0
+    diag = json.loads(out)["outcome"]["diagnostics"]
+    assert diag["transform_source"] in ("constructive", "margin-search")
+    assert diag["phi_order"] >= 1 and 0 < diag["phi_alpha"] < 1
+
+
+@pytest.mark.parametrize(
+    "command,name,text",
+    [
+        ("gadget", "bad.gadget", json.dumps({"n": 2})),
+        ("exact", "bad.sig", json.dumps({"values": 5})),
+    ],
+)
+def test_malformed_json_input_is_a_json_error(capsys, files, command, name, text):
+    path = files["dir"] / name
+    path.write_text(text)
+    argv = [command, str(path)] + ([files["k4"]] if command == "exact" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "malformed" in json.loads(err)["error"]
 
 
 def test_gadget_command(capsys, files):

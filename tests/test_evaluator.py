@@ -164,3 +164,13 @@ def test_not_converged_flag(monkeypatch):
     assert not res.converged
     assert res.k_used == 20
     assert res.estimate > 0
+
+
+def test_full_prefix_past_the_soft_edge_limit():
+    # 30 edges: beyond the oracle's unforced limit the evaluator still
+    # takes every coefficient of P_G and converges
+    g = random_regular(20, 3, seed=1)
+    truth = float(brute_force_Z(g, signature([1, 1, 0, 0]), force=True))
+    res = approximate_Z(g, signature([1, 1, 0, 0]), 0.05)
+    assert res.converged
+    assert abs(res.estimate / truth - 1) <= 0.05

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +18,7 @@ from holant.graphs import (
     petersen,
     random_regular,
 )
-from holant.signatures import reverse, signature
+from holant.signatures import SymmetricSignature, reverse, signature
 
 
 def test_generators():
@@ -49,19 +51,15 @@ def test_random_regular_falls_back_to_multigraph():
     assert not g.is_simple
 
 
-def test_thread_cap_is_deterministic():
-    from holant.graphs import set_thread_cap
-
+def test_edge_order_does_not_change_exact_coeffs():
     g = random_regular(12, 3, seed=6)
-    f = signature([1.0, 0.7, 0.4, 0.1])
-    try:
-        set_thread_cap(1)
-        z1 = brute_force_Z(g, f)
-        set_thread_cap(3)
-        z3 = brute_force_Z(g, f)
-    finally:
-        set_thread_cap(1)
-    assert z1 == z3  # chunk results merge in index order
+    f = signature([1, 2, Fraction(1, 3), 5])
+    want = brute_force_coeffs(g, f)
+    rng = random.Random(6)
+    for _ in range(3):
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+        rng.shuffle(edges)
+        assert brute_force_coeffs(Multigraph(g.n, tuple(edges)), f) == want
 
 
 def test_matchings_of_k4():
@@ -146,6 +144,76 @@ def test_edge_guard():
     g = random_regular(20, 3, seed=1)  # 30 edges
     with pytest.raises(GuardExceeded):
         brute_force_Z(g, signature([1.0, 1.0, 0.0, 0.0]))
+
+
+# ----------------------------------------------------------------------
+# the contraction against the definition
+
+
+def enumerate_coeffs(g, sigs):
+    """Z_0..Z_m by the definition: every edge subset, product of vertex entries."""
+    out = [0] * (g.m + 1)
+    for chosen in itertools.product((0, 1), repeat=g.m):
+        count = [0] * g.n
+        for x, (u, v) in zip(chosen, g.edges):
+            count[u] += x
+            count[v] += x
+        term = 1
+        for v, s in enumerate(sigs):
+            term *= s.values[count[v]]
+        out[sum(chosen)] += term
+    return out
+
+
+def random_multigraph(rng):
+    """At most 12 edges with self-loops, parallel edges, no isolated vertex."""
+    n = rng.randint(1, 6)
+    edges = [(v, rng.randrange(n)) for v in range(n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12 - n))]
+    edges += [edges[0]] if len(edges) < 12 else []
+    return Multigraph(n, tuple(edges))
+
+
+def random_entry(rng, kind):
+    if rng.random() < 0.25:
+        return 0
+    if kind == "rational":
+        return rng.choice([rng.randint(1, 5), Fraction(rng.randint(1, 9), rng.randint(1, 9))])
+    if kind == "float":
+        return rng.uniform(0.1, 2.0)
+    return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+
+@pytest.mark.parametrize("kind", ["rational", "float", "complex"])
+def test_contraction_matches_enumeration(kind):
+    rng = random.Random(f"engine-{kind}")
+    for _ in range(25):
+        g = random_multigraph(rng)
+        sigs = [SymmetricSignature(tuple(random_entry(rng, kind) for _ in range(d + 1))) for d in g.degrees()]
+        want = enumerate_coeffs(g, sigs)
+        got = brute_force_coeffs(g, sigs)
+        z = brute_force_Z(g, sigs)
+        if kind == "rational":
+            assert got == want and all(isinstance(x, Fraction) for x in got)
+            assert z == sum(want) and isinstance(z, Fraction)
+            continue
+        want = np.asarray(want)
+        scale = max(np.max(np.abs(want)), 1e-300)
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        assert abs(z - want.sum()) <= 1e-12 * np.sum(np.abs(want))
+        assert np.isrealobj(got) == (kind == "float") and isinstance(z, float if kind == "float" else complex)
+
+
+def test_contraction_plan_is_refused_before_any_work(monkeypatch):
+    import holant.graphs as graphs
+
+    def never(*args):
+        raise AssertionError("the contraction ran")
+
+    monkeypatch.setattr(graphs, "ENTRY_CAP", 8)
+    monkeypatch.setattr(graphs, "_contract", never)
+    with pytest.raises(GuardExceeded, match="entries"):
+        brute_force_coeffs(complete(4), signature([1, 2, 3, 4]))
 
 
 def test_disjoint_union_multiplies_Z():
