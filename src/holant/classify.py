@@ -23,17 +23,13 @@ from .signatures import (
 )
 from .stability import StabilityCertificate
 from .transform import (
+    STRUCT_TOL,
     Matrix2,
     PairDecomposition,
     find_stabilizing_transform,
     pair_decompose,
 )
 
-# relative tolerance for the structural equalities of the decision tree;
-# near-threshold inputs fall through to the transform branch, whose
-# stability validator accepts or rejects numerically (misrouting toward
-# "try the transform" is safe, misrouting toward "tractable" is not)
-STRUCT_TOL = 1e-9
 # how precisely a canonical form must be matched
 FORM_TOL = 1e-8
 

@@ -4,7 +4,8 @@ Every subcommand prints a JSON run report (deterministic for fixed inputs
 and seeds; pass --timing to include wall time) or, with --quiet, just the
 scalar outcome.  Exit codes: 0 success, 1 bad input, 2 guard refusal,
 3 ferromagnetic-Ising label, 4 perfect-matching-equivalent label,
-5 open sine-profile label.
+5 open sine-profile label, 6 approximation not converged (the report is
+still printed, with ``converged: false``).
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ EXIT_GUARD = 2
 EXIT_FERRO = 3
 EXIT_PM = 4
 EXIT_TYPE1 = 5
+EXIT_UNCONVERGED = 6
 
 _TAG_EXIT = {
     FERRO_ISING: EXIT_FERRO,
@@ -119,7 +121,7 @@ def cmd_approx(args) -> int:
         res = approximate_Z(g, sig, args.eps, outcome)
         doc = {"method": "taylor", "classification": outcome.tag, **formats.approx_to_json(res)}
         _report(args, inputs, doc, started, res.estimate)
-        return EXIT_OK
+        return EXIT_OK if res.converged else EXIT_UNCONVERGED
     if outcome.tag == IDENTICALLY_ZERO:
         _report(args, inputs, {"method": "trivial", "classification": outcome.tag, "value": 0}, started, 0)
         return EXIT_OK

@@ -35,7 +35,7 @@ class PowerSums:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(complex, self.values)))
 
     def __getitem__(self, i):
         return self.values[i]
@@ -48,26 +48,41 @@ class PowerSums:
         return len(self.values) - 1
 
 
-def power_sums_from_coeffs(coeffs, total_degree: int, k: int = None) -> PowerSums:
+def power_sums_from_coeffs(coeffs, total_degree: int, k: int = None, prefix=None) -> PowerSums:
     """Newton's identities: p_j from c_0..c_j, with p_0 = total_degree.
 
-    Uses the recurrence p_j = -(j c_j + sum_{i=1}^{j-1} p_i c_{j-i}) / c_0.
+    Uses the recurrence p_j = -(j c_j + sum_{i=1}^{j-1} p_i c_{j-i}) / c_0,
+    in float64 when every coefficient is real.  ``prefix`` (the PowerSums
+    p_0..p_i of an earlier call on the same leading coefficients) is kept as
+    it is, and the recurrence continues from p_{i+1}.
     """
-    c = np.asarray([complex(x) for x in coeffs], dtype=complex)
+    c = np.asarray(coeffs)
+    if c.dtype.kind not in "fc":
+        c = np.asarray([complex(x) for x in coeffs], dtype=complex)
+    if c.dtype.kind == "c" and not c.imag.any():
+        c = c.real
     if c[0] == 0:
         raise ArgumentError("constant coefficient must be nonzero")
     if k is None:
         k = len(c) - 1
-    cc = np.zeros(k + 1, dtype=complex)
+    start = 1 if prefix is None else min(len(prefix), k + 1)
+    dtype = np.result_type(c, np.float64)
+    # reversed coefficients: c_{j-1}, ..., c_1 is the contiguous slice rc[k-j+1:k]
+    rc = np.zeros(k + 1, dtype=dtype)
     upto = min(len(c), k + 1)
-    cc[:upto] = c[:upto]
-    p = np.zeros(k + 1, dtype=complex)
+    rc[k + 1 - upto :] = c[upto - 1 :: -1]
+    p = np.zeros(k + 1, dtype=dtype)
+    if start > 1:
+        # real coefficients have real power sums
+        pre = np.asarray(prefix.values[1:start])
+        p[1:start] = pre if dtype.kind == "c" else pre.real
     p[0] = total_degree
+    cs = rc.tolist()  # Python scalars: cheaper per step than numpy ones
+    c0 = cs[k]
     with np.errstate(invalid="ignore", over="ignore"):
-        for j in range(1, k + 1):
-            s = np.dot(p[1:j], cc[j - 1 : 0 : -1]) if j > 1 else 0.0
-            p[j] = -(j * cc[j] + s) / cc[0]
-    return PowerSums(tuple(p))
+        for j in range(start, k + 1):
+            p[j] = -(j * cs[k - j] + np.dot(p[1:j], rc[k - j + 1 : k])) / c0
+    return PowerSums(tuple(p.tolist()))
 
 
 def coeffs_from_power_sums(p, k: int) -> np.ndarray:

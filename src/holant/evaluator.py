@@ -20,6 +20,7 @@ rung's own convergence scale) decides acceptance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,7 +38,14 @@ from .errors import ArgumentError, HolantError
 from .graphs import Multigraph
 from .signatures import SymmetricSignature, local_polynomial, reverse
 from .stability import DELTA_CAP, Poly, find_roots, h_eps_stability, strip_halfwidth
-from .transform import Matrix2, StableTransform, apply_holographic, cast_real, rotation_from_w
+from .transform import (
+    Matrix2,
+    StableTransform,
+    apply_holographic,
+    cast_real,
+    rotation_from_w,
+    rotation_margins,
+)
 
 # phi coefficient vectors are materialized up to this order; beyond it the
 # polynomial is represented lazily (prefix on demand, closed-form values)
@@ -139,6 +147,9 @@ def compose_prefix(c, phi, k: int) -> np.ndarray:
 
     Valid because phi(0) = 0, so order-k output depends only on order-k
     inputs.  ``phi`` may be a PhiMap or a plain coefficient sequence.
+    Horner's scheme, each product truncated to order k and taken by FFT at
+    the smallest power-of-two length that holds a full product of two
+    order-k series (real transforms unless P is complex).
     """
     phic = phi.prefix(k) if isinstance(phi, PhiMap) else np.asarray(phi, dtype=float)[: k + 1]
     if len(phic) < k + 1:
@@ -149,12 +160,20 @@ def compose_prefix(c, phi, k: int) -> np.ndarray:
     if np.all(cv.imag == 0):
         cv = cv.real
     cv = cv[: k + 1]
-    out = np.zeros(1, dtype=cv.dtype)
-    for coef in cv[::-1]:
-        out = np.convolve(out, phic)[: k + 1]
+    out = np.zeros(k + 1, dtype=cv.dtype)
+    if len(cv) == 0:
+        return out
+    n = 1 << (2 * k).bit_length()
+    fft = np.fft  # looked up here: numpy loads its fft module on first use
+    if cv.dtype.kind == "c":
+        forward, inverse = fft.fft, fft.ifft
+    else:
+        forward, inverse = fft.rfft, functools.partial(fft.irfft, n=n)
+    phi_hat = forward(phic, n)
+    out[0] = cv[-1]
+    for coef in cv[-2::-1]:
+        out = inverse(forward(out, n) * phi_hat)[: k + 1]
         out[0] += coef
-    if len(out) < k + 1:
-        out = np.concatenate([out, np.zeros(k + 1 - len(out), dtype=out.dtype)])
     return out
 
 
@@ -205,19 +224,24 @@ def _root_clearance(roots: np.ndarray, dp: float, alpha: float) -> float:
     return float(np.min(mags)) if len(mags) else math.inf
 
 
-def _series_estimates(c, phi: PhiMap, k: int) -> np.ndarray:
-    """T_j for j = 1..k of log(P composed with phi) at 1.
+def _series_estimates(c, phi: PhiMap, k: int, prefix=None):
+    """(T, p): T_j for j = 1..k of log(P composed with phi) at 1, and the
+    power sums they come from.
 
-    A rung whose series diverges overflows along the way; the resulting
-    non-finite entries are rejected by the stop scan, so the noise is
-    silenced here rather than surfaced.
+    ``prefix`` holds power sums of an earlier, shorter run on the same phi;
+    they are kept, so T_1..T_i repeat that run's values exactly.  A rung
+    whose series diverges overflows along the way; the resulting non-finite
+    entries are rejected by the stop scan, so the noise is silenced here
+    rather than surfaced.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         comp = compose_prefix(c, phi, k)
-        p = power_sums_from_coeffs(comp, k, k)
+        p = power_sums_from_coeffs(comp, k, k, prefix=prefix)
         pv = np.asarray(p.values)[1:]
+        if not pv.imag.any():
+            pv = pv.real
         terms = pv / np.arange(1, k + 1)
-        return -np.cumsum(terms)
+        return -np.cumsum(terms), p
 
 
 def _scan_stop(T: np.ndarray, eps: float, floor: int):
@@ -228,18 +252,18 @@ def _scan_stop(T: np.ndarray, eps: float, floor: int):
     differences of exp agree to first order).  Non-finite values (a
     diverging series overflows) never stabilize.
     """
-    k = len(T)
+    T = np.asarray(T)
+    j = np.arange(max(3, floor), len(T) + 1)
+    if len(j) == 0:
+        return None
     tol = eps / 4.0
-    for j in range(max(3, floor), k + 1):
-        t1, t2, t3 = T[j - 1], T[j - 2], T[j - 3]
-        if not (math.isfinite(t1) and math.isfinite(t2) and math.isfinite(t3)):
-            continue
-        if max(abs(t1 - t2), abs(t1 - t3), abs(t2 - t3)) > tol:
-            continue
-        if not math.isfinite(T[j // 2 - 1]) or abs(T[j - 1] - T[j // 2 - 1]) > tol:
-            continue
-        return j
-    return None
+    t1, t2, t3, half = T[j - 1], T[j - 2], T[j - 3], T[j // 2 - 1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        ok = np.isfinite(t1) & np.isfinite(t2) & np.isfinite(t3) & np.isfinite(half)
+        ok &= (np.abs(t1 - t2) <= tol) & (np.abs(t1 - t3) <= tol) & (np.abs(t2 - t3) <= tol)
+        ok &= np.abs(t1 - half) <= tol
+    hits = np.flatnonzero(ok)
+    return int(j[hits[0]]) if len(hits) else None
 
 
 class _Attempt:
@@ -269,8 +293,9 @@ class _Attempt:
             phi = build_phi(dp)
             floor = _rung_floor(dp)
             k = min(max(k0, floor), K_GUARD)
+            p = None
             while True:
-                T = _series_estimates(self.c, phi, k)
+                T, p = _series_estimates(self.c, phi, k, p)
                 j = _scan_stop(np.real(T), eps, floor)
                 if j is not None:
                     return T, phi, j, sound, True
@@ -379,25 +404,39 @@ def _margin_search(f: SymmetricSignature):
     Deterministic two-stage sweep of the rotation angle (both matrix
     conventions, f and its reversal); the classifier's constructive choice
     is kept for classification, this only serves the evaluator when a
-    larger margin is needed to open up a usable rung.
+    larger margin is needed to open up a usable rung.  ``rotation_margins``
+    ranks each stage's candidates; the certificate comes from
+    ``h_eps_stability``.  Should it reject the winner, the other ranked
+    candidates are tried in decreasing margin order.
     """
-    rev = reverse(f)
-    best = None
+    best = None  # (margin, theta, convention, use_reversal)
+    ranked = []
     thetas = np.linspace(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, 157)
     for _stage in range(2):
-        for th in thetas:
-            for conv in ("delta0", "delta1"):
-                for use_rev in (False, True):
-                    M = rotation_from_w(float(math.tan(th)), conv)
-                    target = rev if use_rev else f
-                    cert = h_eps_stability(local_polynomial(apply_holographic(target, M)))
-                    if cert is not None and (best is None or cert.margin > best[0] + 1e-15):
-                        best = (cert.margin, float(th), conv, use_rev, cert, M)
+        grid = [(float(th), conv, use_rev) for th in thetas for conv in ("delta0", "delta1") for use_rev in (False, True)]
+        margins = rotation_margins(f, [(math.tan(th), conv, use_rev) for th, conv, use_rev in grid])
+        for cand, margin in zip(grid, margins):
+            if margin > -math.inf:
+                ranked.append((margin, *cand))
+                if best is None or margin > best[0] + 1e-15:
+                    best = ranked[-1]
         if best is None:
             return None
         step = thetas[1] - thetas[0]
         thetas = np.linspace(best[1] - step, best[1] + step, 41)
-    return StableTransform(best[5], best[3], best[4])
+    for _, th, conv, use_rev in _best_first(best, ranked):
+        M = rotation_from_w(math.tan(th), conv)
+        cert = h_eps_stability(local_polynomial(apply_holographic(reverse(f) if use_rev else f, M)))
+        if cert is not None:
+            return StableTransform(M, use_rev, cert)
+    return None
+
+
+def _best_first(best, ranked):
+    """best, then the other ranked candidates by decreasing margin (sorted
+    only if asked for)."""
+    yield best
+    yield from sorted((cand for cand in ranked if cand is not best), key=lambda cand: -cand[0])
 
 
 def _coefficient_prefix(g: Multigraph, gprime: SymmetricSignature):

@@ -31,12 +31,29 @@ _SIG_RE = re.compile(r"^\s*sig\s+d\s*=\s*(\d+)\s*\[([^\]]*)\]\s*$")
 
 def parse_number(tok: str):
     tok = tok.strip()
-    if "/" in tok:
-        return Fraction(tok)
+    try:
+        if "/" in tok:
+            return Fraction(tok)
+        try:
+            return int(tok)
+        except ValueError:
+            return float(tok)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ArgumentError(f"not a number: {tok!r}") from exc
+
+
+def _parse_int(tok: str, what: str) -> int:
     try:
         return int(tok)
-    except ValueError:
-        return float(tok)
+    except ValueError as exc:
+        raise ArgumentError(f"{what} must be an integer, got {tok!r}") from exc
+
+
+def _json_number(v):
+    """A signature entry from JSON: a number, or a string such as "1/2"."""
+    if isinstance(v, bool):
+        raise ArgumentError(f"signature entries must be numbers, got {v!r}")
+    return parse_number(v) if isinstance(v, str) else v
 
 
 def number_to_json(v):
@@ -70,7 +87,7 @@ def _malformed(what: str):
 
 
 def _signature_from_json(obj) -> SymmetricSignature:
-    return signature([parse_number(v) if isinstance(v, str) else v for v in obj["values"]])
+    return signature([_json_number(v) for v in obj["values"]])
 
 
 def parse_signature(text: str) -> SymmetricSignature:
@@ -111,7 +128,7 @@ def parse_graph(text: str) -> Multigraph:
     head = lines[0].split()
     if len(head) != 2:
         raise ArgumentError("graph header must be `n m`")
-    n, m = int(head[0]), int(head[1])
+    n, m = _parse_int(head[0], "vertex count"), _parse_int(head[1], "edge count")
     if len(lines) - 1 != m:
         raise ArgumentError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -119,7 +136,7 @@ def parse_graph(text: str) -> Multigraph:
         parts = ln.split()
         if len(parts) != 2:
             raise ArgumentError(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append((_parse_int(parts[0], "edge endpoint"), _parse_int(parts[1], "edge endpoint")))
     return Multigraph(n, tuple(edges))
 
 
@@ -189,7 +206,7 @@ def parse_gadget(text: str):
         named = {name: _signature_from_json(spec) for name, spec in obj["signatures"].items()}
         assign = tuple(named[name] for name in obj["assign"])
         dangling = tuple((int(v), int(c)) for v, c in obj["dangling"])
-        edge_sig = [parse_number(v) if isinstance(v, str) else v for v in obj["edge_signature"]]
+        edge_sig = [_json_number(v) for v in obj["edge_signature"]]
         return OpenGadget(g, dangling, assign), edge_sig
 
 

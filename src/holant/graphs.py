@@ -110,10 +110,10 @@ def petersen() -> Multigraph:
 
 
 def random_regular(n: int, d: int, seed: int) -> Multigraph:
-    """d-regular multigraph by the pairing model, deterministic under seed.
+    """Simple d-regular graph by the pairing model, deterministic under seed.
 
     Samples with self-loops or parallel edges are rejected; after 1000
-    rejections the last sample is returned as-is (check ``is_simple``).
+    rejections ArgumentError is raised.
     """
     if n < 1 or d < 1:
         raise ArgumentError("need n >= 1 and d >= 1")
@@ -121,15 +121,13 @@ def random_regular(n: int, d: int, seed: int) -> Multigraph:
         raise ArgumentError("n * d must be even")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
-    last = None
     for _ in range(1000):
         rng.shuffle(stubs)
         pairs = [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
         g = Multigraph(n, tuple(tuple(sorted(p)) for p in pairs))
-        last = g
         if g.is_simple:
             return g
-    return last
+    raise ArgumentError(f"no simple {d}-regular graph on {n} vertices in 1000 pairing samples")
 
 
 def disjoint_union(g: Multigraph, h: Multigraph) -> Multigraph:

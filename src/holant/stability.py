@@ -81,35 +81,75 @@ class StabilityCertificate:
 def find_roots(p: Poly) -> np.ndarray:
     """All complex roots of p, via companion-matrix eigenvalues.
 
-    Each root gets one Newton polish, applied to the reversed polynomial at
-    1/r when |r| > 1 so the step stays well conditioned.  The residual
-    contract is max |p(r)| <= 1e-8 * max |c_j|, with |p| measured through
-    the reversed polynomial for roots outside the unit circle (a direct
-    evaluation there drowns in cancellation noise of order |r|^deg * ulp
-    whatever the root quality).
+    Zero roots are split off first, as ``numpy.roots`` does.  Each root
+    gets one Newton polish, applied to the reversed polynomial at 1/r when
+    |r| > 1 so the step stays well conditioned.  The residual contract is
+    max |p(r)| <= 1e-8 * max |c_j|, with |p| measured through the reversed
+    polynomial for roots outside the unit circle (a direct evaluation there
+    drowns in cancellation noise of order |r|^deg * ulp whatever the root
+    quality).  This is ``polished_roots`` on a batch of one row.
     """
     deg = p.degree
     if deg < 1:
         raise ArgumentError("root finding needs degree >= 1")
-    c = p.as_array()[: deg + 1]
-    roots = np.roots(c[::-1])
+    c = p.as_array()[None, : deg + 1]
+    zeros = int(np.flatnonzero(c[0])[0])
+    roots = np.zeros((1, deg), dtype=complex)
+    if zeros < deg:
+        roots[:, : deg - zeros] = _companion_roots(c[:, zeros:])
+    return _polish(c, roots)[0]
 
-    def polish(cs, pts):
-        dc = cs[1:] * np.arange(1, len(cs))
-        pv = np.polyval(cs[::-1], pts)
-        dv = np.polyval(dc[::-1], pts)
-        ok = np.abs(dv) > 1e-300
-        pts = pts.copy()
-        pts[ok] = pts[ok] - pv[ok] / dv[ok]
-        return pts
 
-    inner = np.abs(roots) <= 1.0
-    roots[inner] = polish(c, roots[inner])
-    if np.any(~inner):
-        rev = c[::-1]
-        inv = polish(rev, 1.0 / roots[~inner])
-        roots[~inner] = 1.0 / inv
-    return roots
+def polished_roots(c: np.ndarray) -> np.ndarray:
+    """``find_roots`` on a batch: row i holds the roots of the ascending
+    coefficient row c[i] (N, n+1), n >= 1, whose first and last entries
+    must be nonzero.
+
+    Elementwise arithmetic and one eigenvalue call per companion matrix,
+    so a row gives the same bits whatever batch it is in.
+    """
+    return _polish(c, _companion_roots(c))
+
+
+def _companion_roots(c: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the companion matrices numpy.roots builds, one per row."""
+    n = c.shape[1] - 1
+    desc = c[:, ::-1]
+    comp = np.zeros((len(c), n, n), dtype=c.dtype)
+    comp[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    return np.linalg.eigvals(comp)
+
+
+def _polish(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """One Newton step per root: at r when |r| <= 1, else on the reversed
+    polynomial at 1/r."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        near = _newton(c, roots)
+        far = 1.0 / _newton(c[:, ::-1], 1.0 / roots)
+    return np.where(np.abs(roots) <= 1.0, near, far)
+
+
+def _newton(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    dc = c[:, 1:] * np.arange(1, c.shape[1])
+    pv, dv = _polyval(c, z), _polyval(dc, z)
+    ok = np.abs(dv) > 1e-300
+    return np.where(ok, z - pv / np.where(ok, dv, 1.0), z)
+
+
+def _polyval(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Horner values of the coefficient rows c (N, n+1) at the points z (N, r)."""
+    y = np.zeros_like(z)
+    for i in range(c.shape[1] - 1, -1, -1):
+        y = y * z + c[:, i : i + 1]
+    return y
+
+
+def stable_margins(roots: np.ndarray) -> np.ndarray:
+    """min(-Re r) over each row of roots (N, n), or -inf where some root
+    has Re r >= REJECT_RE."""
+    stable = ~np.any(roots.real >= REJECT_RE, axis=1)
+    return np.where(stable, np.min(-roots.real, axis=1), -math.inf)
 
 
 def balanced_residual(p: Poly, r: complex) -> float:
@@ -132,9 +172,9 @@ def h_eps_stability(p: Poly):
     if deg == 0:
         return StabilityCertificate(eps=1.0, roots=(), margin=math.inf)
     roots = find_roots(p)
-    if np.any(roots.real >= REJECT_RE):
+    margin = float(stable_margins(roots[None, :])[0])
+    if margin == -math.inf:
         return None
-    margin = float(np.min(-roots.real))
     return StabilityCertificate(eps=margin / 2.0, roots=tuple(roots), margin=margin)
 
 

@@ -23,10 +23,14 @@ from .signatures import (
     reverse,
     tensor_decompose,
 )
-from .stability import StabilityCertificate, h_eps_stability
+from .stability import StabilityCertificate, h_eps_stability, polished_roots, stable_margins
 
 ORTHO_TOL = 1e-10
-# relative tolerance for the structural equalities of the case analysis
+# relative tolerance for the structural equalities of the case analysis and
+# of the classifier's decision tree; near-threshold inputs fall through to
+# the transform branch, whose stability validator accepts or rejects
+# numerically (misrouting toward "try the transform" is safe, misrouting
+# toward "tractable" is not)
 STRUCT_TOL = 1e-9
 # imaginary residue allowed when casting transformed signatures to reals
 CAST_TOL = 1e-9
@@ -117,25 +121,44 @@ def apply_holographic(f: SymmetricSignature, M: Matrix2) -> SymmetricSignature:
     substitutes u -> m00 u + m01 v, v -> m10 u + m11 v; entry j of the result
     is the v^j coefficient divided by C(d, j).  Output entries are complex.
     """
-    d = f.arity
-    vals = f.as_complex()
-    (a0, a1), (b0, b1) = M.rows()  # images of the two basis vectors
-    acc = np.zeros(d + 1, dtype=complex)
+    rows = [np.array([[x]], dtype=complex) for x in (M.m00, M.m01, M.m10, M.m11)]
+    out = _holographic_rows(f.as_complex()[None, :], *rows)
+    return SymmetricSignature(tuple(out[0]))
+
+
+def _holographic_rows(vals, a0, a1, b0, b1) -> np.ndarray:
+    """``apply_holographic`` on a batch: row i of vals (N, d+1) under the
+    matrix whose entries are row i of the (N, 1) columns a0, a1, b0, b1.
+
+    Elementwise arithmetic only, so one row gives the same bits whatever
+    batch it is in.
+    """
+    d = vals.shape[1] - 1
+    acc = np.zeros(vals.shape, dtype=complex)
     for k in range(d + 1):
-        if vals[k] == 0:
-            continue
-        pa = _linear_power(a0, a1, d - k)
-        pb = _linear_power(b0, b1, k)
-        acc += math.comb(d, k) * vals[k] * np.convolve(pa, pb)
-    out = acc / np.array([math.comb(d, j) for j in range(d + 1)], dtype=float)
-    return SymmetricSignature(tuple(out))
+        pa = _linear_powers(a0, a1, d - k)
+        pb = _linear_powers(b0, b1, k)
+        prod = np.zeros_like(acc)
+        for i in range(d - k + 1):
+            prod[:, i : i + k + 1] += pa[:, i : i + 1] * pb
+        acc += (math.comb(d, k) * vals[:, k])[:, None] * prod
+    return acc / np.array([math.comb(d, j) for j in range(d + 1)], dtype=float)
 
 
-def _linear_power(c0: complex, c1: complex, n: int) -> np.ndarray:
-    """Coefficients of (c0 + c1 z)^n."""
-    out = np.empty(n + 1, dtype=complex)
-    for i in range(n + 1):
-        out[i] = math.comb(n, i) * (c0 ** (n - i)) * (c1**i)
+def _linear_powers(c0: np.ndarray, c1: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients of (c0 + c1 z)^n, one row per entry of the (N, 1) columns."""
+    return np.hstack([math.comb(n, i) * _powu(c0, n - i) * _powu(c1, i) for i in range(n + 1)])
+
+
+def _powu(x: np.ndarray, n: int) -> np.ndarray:
+    """x**n by repeated squaring."""
+    out = np.ones_like(x)
+    mask = 1
+    while mask <= n:
+        if n & mask:
+            out = out * x
+        mask <<= 1
+        x = x * x
     return out
 
 
@@ -195,6 +218,48 @@ def rotation_from_w(w: float, convention: str = "delta0") -> Matrix2:
     if convention == "delta1":
         return Matrix2(w * r, r, r, -w * r, orthogonal=True)
     raise ArgumentError(f"unknown convention {convention!r}")
+
+
+def rotation_margins(f: SymmetricSignature, candidates) -> np.ndarray:
+    """Stability margins of f under a batch of real rotations.
+
+    ``candidates`` is a sequence of (w, convention, use_reversal).  Entry i
+    of the result is the margin that ``h_eps_stability`` certifies for
+    ``local_polynomial(apply_holographic(target, rotation_from_w(w, conv)))``
+    (target = f or its reversal), or -inf where it certifies none.  The
+    transformed local polynomials are built as arrays and scored with the
+    row kernel that ``h_eps_stability`` runs on one row, so the margins are
+    the same bits.  A candidate whose leading or constant coefficient
+    vanishes (its degree drops, or 0 is a root) goes through
+    ``h_eps_stability`` itself.
+    """
+    cands = list(candidates)
+    out = np.full(len(cands), -math.inf)
+    if not cands:
+        return out
+    ws = np.array([w for w, _, _ in cands], dtype=float)
+    if not np.all(np.isfinite(ws)) or any(conv not in ("delta0", "delta1") for _, conv, _ in cands):
+        raise ArgumentError("rotations need a finite w and the convention delta0 or delta1")
+    flip = np.array([conv == "delta1" for _, conv, _ in cands])
+    rev = np.array([bool(u) for _, _, u in cands])
+    d = f.arity
+    # entries of rotation_from_w, as complex like Matrix2 holds them
+    r = 1.0 / np.sqrt(1.0 + ws * ws)
+    wr = ws * r
+    entries = [np.where(flip, x, y).astype(complex)[:, None] for x, y in ((wr, r), (r, wr), (r, -wr), (-wr, r))]
+    vals = f.as_complex()
+    g = _holographic_rows(np.where(rev[:, None], vals[::-1], vals), *entries)
+    local = np.array([math.comb(d, i) for i in range(d + 1)]) * g  # local_polynomial, row by row
+
+    full = (local[:, 0] != 0) & (local[:, d] != 0)
+    for i in np.flatnonzero(~full):
+        w, conv, use_rev = cands[i]
+        cert = _validate(f, rotation_from_w(w, conv), use_rev)
+        if cert is not None:
+            out[i] = cert.margin
+    if full.any():
+        out[full] = stable_margins(polished_roots(local[full]))
+    return out
 
 
 # ----------------------------------------------------------------------

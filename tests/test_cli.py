@@ -4,6 +4,7 @@ import time
 import pytest
 
 from holant.cli import main
+from holant.errors import ArgumentError
 from holant.formats import (
     dump_graph,
     dump_signature,
@@ -185,6 +186,38 @@ def test_malformed_json_input_is_a_json_error(capsys, files, command, name, text
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert "malformed" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "command,parse,text",
+    [
+        ("exact", parse_signature, json.dumps({"values": [True, 1]})),
+        ("exact", parse_signature, "sig d=1 [1,x]"),
+        ("approx", parse_graph, "1 1\n0 x\n"),
+    ],
+    ids=["json-boolean-entry", "text-entry-not-a-number", "graph-endpoint-not-an-integer"],
+)
+def test_malformed_input_raises_argument_error(capsys, files, command, parse, text):
+    with pytest.raises(ArgumentError):
+        parse(text)
+    path = files["dir"] / "bad.input"
+    path.write_text(text)
+    argv = [command, str(path), files["k4"]] if parse is parse_signature else [command, files["matchings"], str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "error" in json.loads(err)
+
+
+def test_unconverged_approx_exits_6_with_its_report(capsys, files, monkeypatch):
+    # with the truncation guard below every rung's convergence floor no
+    # estimate can stabilize; the report still comes out on stdout
+    import holant.evaluator as ev
+
+    monkeypatch.setattr(ev, "K_GUARD", 20)
+    code, out, _ = run(capsys, "approx", files["matchings"], files["k4"])
+    assert code == 6
+    outcome = json.loads(out)["outcome"]
+    assert outcome["converged"] is False and outcome["k_used"] == 20
 
 
 def test_gadget_command(capsys, files):

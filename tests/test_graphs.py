@@ -43,12 +43,11 @@ def test_random_regular_parity_guard():
         random_regular(5, 3, seed=0)
 
 
-def test_random_regular_falls_back_to_multigraph():
+def test_random_regular_refuses_after_the_rejection_budget():
     # no simple 3-regular graph on two vertices exists; after the rejection
-    # budget the last pairing-model sample comes back as-is
-    g = random_regular(2, 3, seed=0)
-    assert g.is_regular(3)
-    assert not g.is_simple
+    # budget the generator raises instead of returning a multigraph
+    with pytest.raises(ArgumentError, match="no simple 3-regular graph"):
+        random_regular(2, 3, seed=0)
 
 
 def test_edge_order_does_not_change_exact_coeffs():

@@ -1,0 +1,193 @@
+"""The evaluator's series kernels and the batched margin sweep against
+direct reference implementations kept here."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+import holant.evaluator as ev
+from holant.coeffs import PowerSums, power_sums_from_coeffs
+from holant.signatures import local_polynomial, reverse, signature
+from holant.stability import Poly, find_roots, h_eps_stability
+from holant.transform import apply_holographic, rotation_from_w, rotation_margins
+
+
+def direct_compose(c, phic, k):
+    """Horner's scheme with each product a full direct convolution, cut at order k."""
+    out = np.zeros(1, dtype=c.dtype)
+    for coef in c[::-1]:
+        out = np.convolve(out, phic)[: k + 1]
+        out[0] += coef
+    return np.concatenate([out, np.zeros(k + 1 - len(out), dtype=out.dtype)])
+
+
+def scalar_margin_search(f):
+    """The two-stage rotation sweep, one h_eps_stability call per candidate."""
+    rev = reverse(f)
+    best = None
+    thetas = np.linspace(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, 157)
+    for _stage in range(2):
+        for th in thetas:
+            for conv in ("delta0", "delta1"):
+                for use_rev in (False, True):
+                    M = rotation_from_w(math.tan(th), conv)
+                    cert = h_eps_stability(local_polynomial(apply_holographic(rev if use_rev else f, M)))
+                    if cert is not None and (best is None or cert.margin > best[0] + 1e-15):
+                        best = (cert.margin, float(th), conv, use_rev)
+        step = thetas[1] - thetas[0]
+        thetas = np.linspace(best[1] - step, best[1] + step, 41)
+    return best
+
+
+def numpy_roots_polished(c):
+    """numpy.roots plus one Newton polish per root (at 1/r on the reversed
+    polynomial when |r| > 1), one root set at a time."""
+    roots = np.roots(c[::-1]).astype(complex)
+
+    def polish(cs, pts):
+        dc = cs[1:] * np.arange(1, len(cs))
+        pv, dv = np.polyval(cs[::-1], pts), np.polyval(dc[::-1], pts)
+        ok = np.abs(dv) > 1e-300
+        pts = pts.copy()
+        pts[ok] = pts[ok] - pv[ok] / dv[ok]
+        return pts
+
+    inner = np.abs(roots) <= 1.0
+    roots[inner] = polish(c, roots[inner])
+    roots[~inner] = 1.0 / polish(c[::-1], 1.0 / roots[~inner])
+    return roots
+
+
+def _random_poly(rng, m, complex_entries):
+    c = rng.normal(size=m + 1) * np.array([math.comb(m, i) for i in range(m + 1)], dtype=float)
+    if complex_entries:
+        c = c + 1j * rng.normal(size=m + 1)
+    c[0] = 1.0
+    return c
+
+
+@pytest.mark.parametrize("dp", ev.DEFAULT_RUNGS)
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_fft_composition_matches_direct_horner(dp, complex_entries):
+    rng = np.random.default_rng(int(1000 * dp) + complex_entries)
+    phi = ev.build_phi(dp)
+    ks = [0, 1, 2, 37, 1024] + ([ev.K_GUARD] if not complex_entries else [])
+    for k in ks:
+        m = int(rng.integers(1, 25))
+        c = _random_poly(rng, m, complex_entries)
+        got = ev.compose_prefix(c, phi, k)
+        want = direct_compose(c, phi.prefix(k), k)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        # FFT rounding is absolute, on the scale of sum |c_i| (phi's
+        # coefficients are positive and sum to 1)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(c))
+
+
+def test_resumed_power_sums_continue_a_fresh_run():
+    phi = ev.build_phi(0.185)
+    c = np.array([1.0, 3.0, 3.0, 1.0]) / np.array([1.0, 3.0, 9.0, 27.0])  # (1 + z/3)^3
+    comp = ev.compose_prefix(c, phi, 400)
+    fresh = power_sums_from_coeffs(comp, 400, 400)
+    head = power_sums_from_coeffs(comp, 400, 150)
+    # the same coefficients: the continuation repeats the fresh run exactly
+    assert power_sums_from_coeffs(comp, 400, 400, prefix=head).values == fresh.values
+    # a prefix from a shorter composition, as the evaluator's k doubling passes it
+    short = power_sums_from_coeffs(ev.compose_prefix(c, phi, 150), 150, 150)
+    resumed = power_sums_from_coeffs(comp, 400, 400, prefix=short)
+    assert resumed.values[1:151] == short.values[1:151]
+    assert np.allclose(resumed.values, fresh.values, rtol=1e-12, atol=1e-12)
+
+
+def test_power_sums_take_complex_input_and_prefix():
+    c = [1.0, 0.5j, -0.25]
+    fresh = power_sums_from_coeffs(c, 2, 12)
+    resumed = power_sums_from_coeffs(c, 2, 12, prefix=PowerSums(fresh.values[:5]))
+    assert resumed.values == fresh.values
+    assert any(abs(v.imag) > 0 for v in fresh.values)
+
+
+def _margin_signatures():
+    rng = np.random.default_rng(11)
+    sigs = [[1, 1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 0, 0, 0, 0, 2]]
+    for _ in range(25):
+        d = int(rng.integers(2, 7))
+        v = rng.uniform(0, 3, d + 1)
+        v[rng.uniform(size=d + 1) < 0.3] = 0.0
+        v[0] = v[0] or 1.0
+        sigs.append(v.tolist())
+    return sigs
+
+
+def test_batched_margins_match_h_eps_stability():
+    rng = np.random.default_rng(12)
+    dropped = 0
+    for vals in _margin_signatures():
+        f = signature(vals)
+        ws = [0.0, 1.0, -1.0] + rng.uniform(-6, 6, 12).tolist()
+        cands = [(w, conv, use_rev) for w in ws for conv in ("delta0", "delta1") for use_rev in (False, True)]
+        got = rotation_margins(f, cands)
+        for (w, conv, use_rev), margin in zip(cands, got):
+            poly = local_polynomial(apply_holographic(reverse(f) if use_rev else f, rotation_from_w(w, conv)))
+            dropped += poly.coeffs[-1] == 0 or poly.coeffs[0] == 0
+            cert = h_eps_stability(poly)
+            # one row kernel serves both: the same bits, not just within 1e-9
+            assert margin == (-math.inf if cert is None else cert.margin)
+    assert dropped > 0  # the scalar route for degree drops was exercised
+
+
+def test_find_roots_matches_numpy_roots_with_the_same_polish():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1) * rng.integers(0, 2)
+        c[: int(rng.integers(0, n))] = 0.0  # zero roots, which numpy.roots splits off
+        got = find_roots(Poly(tuple(c)))
+        assert got.dtype == complex and np.array_equal(got, numpy_roots_polished(c))
+
+
+def test_find_roots_keeps_split_off_zero_roots_complex():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy.roots gives a real zero here
+        roots = find_roots(Poly((0, 2.0)))
+    assert roots.dtype == complex and roots.tolist() == [0j]
+    assert h_eps_stability(Poly((0, 2.0))) is None
+
+
+def test_batched_margins_on_a_degree_drop():
+    # at w = 0, delta0 is the identity: the local polynomial 1 + 4z of
+    # [1,1,0,0,0] has degree 1 and its root -1/4
+    f = signature([1, 1, 0, 0, 0])
+    got = rotation_margins(f, [(0.0, "delta0", False), (0.0, "delta1", False), (0.1, "delta0", False)])
+    assert got[0] == 0.25
+    assert got[1] == -math.inf  # [0,0,0,1,1]: zero is a root
+    assert got[2] == h_eps_stability(local_polynomial(apply_holographic(f, rotation_from_w(0.1)))).margin
+
+
+@pytest.mark.parametrize("vals", [[3, 1, 1, 1], [1, 2, 3, 4], [1, 2, 1, 1], [1, 2, 3, 4, 5], [1, 1, 0, 0, 0]])
+def test_margin_search_picks_what_the_scalar_sweep_picks(vals):
+    f = signature(vals)
+    margin, th, conv, use_rev = scalar_margin_search(f)
+    got = ev._margin_search(f)
+    assert got.matrix == rotation_from_w(math.tan(th), conv)
+    assert got.use_reversal == use_rev
+    assert got.certificate.margin == margin
+
+
+def test_margin_search_tries_the_runner_up_when_the_winner_is_rejected(monkeypatch):
+    f = signature([1, 2, 3, 4])
+    winner = ev._margin_search(f)
+    certified = []
+
+    def reject_first(poly):
+        certified.append(poly)
+        return None if len(certified) == 1 else h_eps_stability(poly)
+
+    monkeypatch.setattr(ev, "h_eps_stability", reject_first)
+    got = ev._margin_search(f)
+    assert len(certified) == 2
+    assert got.matrix != winner.matrix
+    assert 0 < got.certificate.margin <= winner.certificate.margin
+    monkeypatch.setattr(ev, "h_eps_stability", lambda poly: None)
+    assert ev._margin_search(f) is None
