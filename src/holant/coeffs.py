@@ -1,6 +1,7 @@
 """Low-order coefficients of the edge-generating polynomial, two ways.
 
-``naive_low_coeffs`` enumerates edge subsets of size <= k directly.
+``naive_low_coeffs`` contracts the instance with the exact engine of
+``graphs``, keeping only the degree strata 0..k.
 ``additive_power_sums`` computes the inverse power sums p_1..p_k instead,
 by additivity over connected induced subgraphs: each isomorphism class H
 carries a correction a_{H,j} (a Moebius inversion over induced-subgraph
@@ -8,23 +9,20 @@ containment) such that p_j(G) = sum_H a_{H,j} * ind(H, G).  Newton's
 identities convert between the two representations.
 
 The subgraph machinery assumes simple graphs; the naive engine accepts
-multigraphs.
+multigraphs, whose vertex degrees may be below the signature's arity.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ArgumentError, GuardExceeded
-from .graphs import Multigraph, brute_force_coeffs
+from .graphs import Multigraph, _contraction, brute_force_coeffs
 from .signatures import SymmetricSignature
 
-NAIVE_WORK_GUARD = 10**8
 ADDITIVE_K_GUARD = 8
 
 
@@ -107,70 +105,30 @@ def _check_f0_one(f: SymmetricSignature) -> None:
         raise ArgumentError("normalize first: f_0 must equal 1")
 
 
-def naive_low_coeffs(g: Multigraph, f: SymmetricSignature, k: int, force: bool = False):
-    """Exact Z_0..Z_k by enumerating edge subsets of size <= k.
+def naive_low_coeffs(g: Multigraph, f: SymmetricSignature, k: int):
+    """Exact Z_0..Z_min(k, m) by the contraction, with the degree axis cut
+    at k + 1.
 
-    Untouched vertices contribute the factor f_0 = 1.  Work is guarded by
-    sum_j C(m, j) <= 1e8.  The full prefix (k >= m) of a d-regular graph
-    comes from the oracle's contraction instead, under the oracle's own
-    guards.  Exact entries give exact (Fraction) output.
+    Each vertex carries f cut to its degree, and an isolated vertex is the
+    factor f_0 = 1.  The full prefix (k >= m) is brute_force_coeffs, under
+    the oracle's hard edge limit; a shorter one is guarded only by the
+    plan's entry cap.  Exact (list of Fractions) when f is rational, else
+    a numpy vector, real when f is real.
     """
     _check_f0_one(f)
     if k < 0:
         raise ArgumentError("k must be non-negative")
-    m = g.m
     deg = g.degrees()
     if max(deg, default=0) > f.arity:
         raise ArgumentError("graph degree exceeds signature arity")
-    k = min(k, m)
-    if k == m and m > 0 and all(x == f.arity for x in deg):
-        # d-regular full prefix: the oracle's contraction enumerates nothing,
-        # so the subset work guard below does not apply to it
-        return brute_force_coeffs(g, f, force=True)
-    work = sum(math.comb(m, j) for j in range(k + 1))
-    if work > NAIVE_WORK_GUARD:
-        raise GuardExceeded(f"subset enumeration of {work:.2e} exceeds the work guard")
-
-    exact = f.is_exact
-    table = f.values if exact else [complex(v) for v in f.values]
-    zero = Fraction(0) if exact else 0j
-    one = Fraction(1) if exact else 1 + 0j
-    out = [zero] * (k + 1)
-    out[0] = one
-    ends = g.edges
-    n = g.n
-    counts = [0] * n
-    for j in range(1, k + 1):
-        acc = zero
-        for subset in itertools.combinations(range(m), j):
-            touched = []
-            ok = True
-            for e in subset:
-                u, v = ends[e]
-                if counts[u] == 0:
-                    touched.append(u)
-                counts[u] += 1
-                if counts[v] == 0:
-                    touched.append(v)
-                counts[v] += 1
-            term = one
-            for v in touched:
-                fv = table[counts[v]]
-                if fv == 0:
-                    term = zero
-                    break
-                term = term * fv
-            if term != 0:
-                acc = acc + term
-            for e in subset:
-                u, v = ends[e]
-                counts[u] -= 1
-                counts[v] -= 1
-        out[j] = acc
-    if exact:
-        return out
-    arr = np.asarray(out, dtype=complex)
-    return arr.real if f.is_real else arr
+    kept = [v for v in range(g.n) if deg[v]]
+    pos = {v: i for i, v in enumerate(kept)}
+    h = Multigraph(len(kept), tuple((pos[u], pos[v]) for u, v in g.edges))
+    sigs = [SymmetricSignature(f.values[: deg[v] + 1]) for v in kept]
+    out = brute_force_coeffs(h, sigs, force=True) if k >= g.m else _contraction(h, sigs, k + 1)
+    if f.is_exact:
+        return [Fraction(x) for x in out]
+    return np.asarray(out, dtype=float if f.is_real else complex)
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +244,7 @@ class _ClassTable:
         return cid
 
 
-def additive_power_sums(g: Multigraph, f: SymmetricSignature, k: int, _dump: list = None) -> PowerSums:
+def additive_power_sums(g: Multigraph, f: SymmetricSignature, k: int) -> PowerSums:
     """p_1..p_k of the edge-generating polynomial via connected subgraphs.
 
     For each isomorphism class H of connected induced subgraphs with at
@@ -294,9 +252,6 @@ def additive_power_sums(g: Multigraph, f: SymmetricSignature, k: int, _dump: lis
     to their subgraph degree) yields p_j(H) by Newton; corrections
     a_{H,j} = p_j(H) - sum over proper connected subsets' corrections then
     give p_j(G) = sum_H a_{H,j} * ind(H, G).
-
-    ``_dump``, when given a list, receives one record per class (see
-    ``additive_class_dump``).
     """
     _check_f0_one(f)
     if k < 1:
@@ -343,16 +298,6 @@ def additive_power_sums(g: Multigraph, f: SymmetricSignature, k: int, _dump: lis
                 continue
             corr += a[subset_class[t]]
         a[cid] = p_h - corr
-        if _dump is not None:
-            _dump.append(
-                {
-                    "certificate": list(_invariant_key(h)[:2]) + [str(_invariant_key(h)[2])],
-                    "vertices": h.n,
-                    "edges": sorted(h.edges),
-                    "ind_count": ind_count[cid],
-                    "a": [x.real for x in a[cid]],
-                }
-            )
 
     total = np.zeros(k + 1, dtype=complex)
     for cid, cnt in ind_count.items():
@@ -362,9 +307,3 @@ def additive_power_sums(g: Multigraph, f: SymmetricSignature, k: int, _dump: lis
         total = total.real.astype(complex)
     return PowerSums(tuple(total))
 
-
-def additive_class_dump(g: Multigraph, f: SymmetricSignature, k: int) -> list:
-    """JSON-ready records (class certificate, ind count, corrections a_{H,j})."""
-    records = []
-    additive_power_sums(g, f, k, _dump=records)
-    return records

@@ -10,7 +10,7 @@ class ArgumentError(HolantError, ValueError):
 
 
 class GuardExceeded(HolantError, RuntimeError):
-    """A work guard (edge count, contraction size, enumeration size, truncation order) was exceeded."""
+    """A work guard (edge count, contraction size, dangling count, truncation order) was exceeded."""
 
 
 class ExceptionalSignature(ArgumentError):

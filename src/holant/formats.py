@@ -116,10 +116,6 @@ def dump_signature(sig: SymmetricSignature) -> str:
     return f"sig d={sig.arity} [{body}]"
 
 
-def signature_to_json(sig: SymmetricSignature) -> dict:
-    return {"arity": sig.arity, "values": [number_to_json(v) for v in sig.values]}
-
-
 def parse_graph(text: str) -> Multigraph:
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]

@@ -9,12 +9,17 @@ some but not all of its edges placed.  Placing an edge adds a copy of the
 state shifted by one on the degree axis and on both endpoint axes (by two
 on a self-loop's axis); a vertex whose last edge is placed is contracted
 with its signature.  brute_force_Z needs no strata and keeps the degree
-axis at length 1.  Edges are placed in a greedy order that keeps the
-state small, and the largest state of that order is sized before any
-work starts.
+axis at length 1; a prefix Z_0..Z_k cuts it at k + 1.  Edges are placed
+in a greedy order that keeps the state small, and the largest state of
+that order is sized before any work starts.
+
+Gadget composition runs the same contraction once per count vector of
+the dangling slots, on the inner graph with every edge subdivided by a
+vertex carrying the edge signature.
 
 With exact (int/Fraction) signature entries the state holds Python
-numbers and the result is exact; otherwise it is a float or complex array.
+numbers and the result is exact (Fractions); otherwise it is a float or
+complex array.
 """
 
 from __future__ import annotations
@@ -176,13 +181,14 @@ def _live_lengths(sigs) -> list:
     return out
 
 
-def _plan(g: Multigraph, live: list, graded: bool):
+def _plan(g: Multigraph, live: list, strata: int):
     """Greedy edge order and the entry count of the largest state it builds.
 
+    ``strata`` is the length the degree axis may reach (0: no degree axis).
     Each step places the unplaced edge whose state, after finished vertices
     are contracted, is smallest (then whose grown state is smallest, then
     the lowest edge index), so the order is a deterministic function of
-    the graph and the signatures' live lengths.
+    the graph, the signatures' live lengths and ``strata``.
     """
     remaining = g.degrees()
     lengths = {}  # frontier vertex -> axis length
@@ -190,7 +196,7 @@ def _plan(g: Multigraph, live: list, graded: bool):
     order = []
     peak = 1
     for step in range(g.m):
-        depth = step + 2 if graded else 1
+        depth = min(step + 2, strata) if strata else 1
         best = None
         for e in todo:
             u, v = g.edges[e]
@@ -216,9 +222,11 @@ def _plan(g: Multigraph, live: list, graded: bool):
     return order, peak
 
 
-def _contract(g: Multigraph, sigs, order: list, live: list, graded: bool) -> np.ndarray:
+def _contract(g: Multigraph, sigs, order: list, live: list, strata: int) -> np.ndarray:
     """Run a plan: the state holds one degree axis and one count axis per
-    frontier vertex, and every axis grows only as edges are placed."""
+    frontier vertex, and every axis grows only as edges are placed.  The
+    degree axis stops at ``strata`` entries; 0 keeps it at length 1, so the
+    strata are summed."""
     if all(s.is_exact for s in sigs):
         dtype = object
         tables = [np.array(s.values, dtype=object) for s in sigs]
@@ -235,10 +243,10 @@ def _contract(g: Multigraph, sigs, order: list, live: list, graded: bool) -> np.
             if w not in frontier:
                 frontier.append(w)
                 state = state[..., None]
-        shift = [1 if graded else 0] + [0] * len(frontier)
+        shift = [1 if strata else 0] + [0] * len(frontier)
         shift[frontier.index(u) + 1] += 1
         shift[frontier.index(v) + 1] += 1
-        caps = [math.inf] + [live[w] for w in frontier]
+        caps = [strata or 1] + [live[w] for w in frontier]
         shape = tuple(min(n + s, c) for n, s, c in zip(state.shape, shift, caps))
         grown = np.zeros(shape, dtype=dtype)
         grown[tuple(slice(0, n) for n in state.shape)] = state
@@ -256,21 +264,21 @@ def _contract(g: Multigraph, sigs, order: list, live: list, graded: bool) -> np.
     return state
 
 
-def _contraction(g: Multigraph, assign, force: bool, graded: bool) -> np.ndarray:
+def _contraction(g: Multigraph, sigs, strata: int) -> np.ndarray:
     """Sum over edge assignments by a frontier dynamic program over the edges.
 
-    The plan is sized before any array is allocated; a plan whose largest
-    state exceeds ENTRY_CAP entries is refused.
+    ``sigs`` holds one signature per vertex, of arity equal to its degree.
+    The result holds Z_0..Z_{strata-1}, or, for strata = 0, the single
+    entry Z.  The plan is sized before any array is allocated; a plan whose
+    largest state exceeds ENTRY_CAP entries is refused.
     """
-    sigs = _vertex_signatures(g, assign)
-    _check_guards(g.m, force)
     live = _live_lengths(sigs)
-    order, peak = _plan(g, live, graded)
+    order, peak = _plan(g, live, strata)
     if peak > ENTRY_CAP:
         raise GuardExceeded(
             f"the contraction plan needs a state of {peak:,} entries, above the cap of {ENTRY_CAP:,}"
         )
-    return _contract(g, sigs, order, live, graded)
+    return _contract(g, sigs, order, live, strata)
 
 
 def brute_force_coeffs(g: Multigraph, assign, force: bool = False):
@@ -280,7 +288,9 @@ def brute_force_coeffs(g: Multigraph, assign, force: bool = False):
     else a numpy vector, real when every signature is real.  sum_k Z_k
     equals brute_force_Z.
     """
-    out = _contraction(g, assign, force, graded=True)
+    sigs = _vertex_signatures(g, assign)
+    _check_guards(g.m, force)
+    out = _contraction(g, sigs, g.m + 1)
     if out.dtype == object:
         return [Fraction(x) for x in out]
     return out
@@ -288,7 +298,9 @@ def brute_force_coeffs(g: Multigraph, assign, force: bool = False):
 
 def brute_force_Z(g: Multigraph, assign, force: bool = False):
     """Exact partition function: sum over edge assignments of vertex weights."""
-    z = _contraction(g, assign, force, graded=False)[0]
+    sigs = _vertex_signatures(g, assign)
+    _check_guards(g.m, force)
+    z = _contraction(g, sigs, 0)[0]
     if isinstance(z, np.complexfloating):
         return complex(z)
     if isinstance(z, np.floating):
@@ -300,7 +312,6 @@ def brute_force_Z(g: Multigraph, assign, force: bool = False):
 # open gadgets
 
 DANGLING_LIMIT = 10
-_GADGET_VAR_LIMIT = 22  # 2 * inner edges + dangling count
 
 
 @dataclass(frozen=True)
@@ -335,68 +346,58 @@ class OpenGadget:
         return sum(c for _, c in self.dangling)
 
 
-def compose_gadget(gadget: OpenGadget, edge_signature) -> np.ndarray:
+def compose_gadget(gadget: OpenGadget, edge_signature):
     """Effective symmetric signature of a gadget on its dangling edges.
 
     Every inner edge is read as an arity-2 constraint [b_0, b_1, b_2] on its
-    two half-edges (b_1 for exactly one endpoint set).  For each boundary
-    assignment the inner half-edge variables are summed out; the result must
-    be symmetric in the boundary or AsymmetricGadget is raised.
+    two half-edges (b_1 for exactly one endpoint set): the edge is
+    subdivided by a vertex carrying that signature.  Every signature is
+    symmetric, so a boundary assignment matters only through t_v, the
+    number of set dangling slots at each vertex v.  Each count vector t
+    takes one contraction, in which v carries f_v[t_v : t_v + deg(v) + 1]
+    (deg: inner degree); a vertex with no inner edge is the factor
+    f_v[t_v].  Values of equal total weight must agree (exactly for exact
+    input, else within 1e-9 of the largest value), or AsymmetricGadget is
+    raised.
+
+    Exact (list of Fractions) when every entry is rational, else a numpy
+    vector, real when every entry is real.
     """
-    b = [complex(x) for x in edge_signature]
-    if len(b) != 3:
+    if len(edge_signature) != 3:
         raise ArgumentError("edge signature must be [b0, b1, b2]")
+    edge = SymmetricSignature(tuple(edge_signature))
     g = gadget.graph
     dang = gadget.boundary_size
     if dang > DANGLING_LIMIT:
         raise GuardExceeded(f"{dang} dangling edges exceeds the limit of {DANGLING_LIMIT}")
-    nvars = 2 * g.m
-    if nvars + dang > _GADGET_VAR_LIMIT:
-        raise GuardExceeded("gadget enumeration too large")
-
-    # dangling slots per vertex, in boundary order
-    slot_vertex = []
+    deg = g.degrees()
+    slots = [0] * g.n
     for v, c in gadget.dangling:
-        slot_vertex.extend([v] * c)
-    tables = [s.values for s in gadget.assign]
+        slots[v] += c
+    inner = [v for v in range(g.n) if deg[v]]
+    pos = {v: i for i, v in enumerate(inner)}
+    mid = len(inner)
+    # inner edge e = (u, v) becomes the path u - (mid + e) - v
+    halves = [(pos[w], mid + e) for e, (u, v) in enumerate(g.edges) for w in (u, v)]
+    h = Multigraph(mid + g.m, tuple(halves))
+    sigs = (edge,) + gadget.assign
+    exact = all(s.is_exact for s in sigs)
 
-    full = np.zeros(1 << dang, dtype=complex)
-    for inner in range(1 << nvars):
-        counts = [0] * g.n
-        w = complex(1.0)
-        for e, (u, v) in enumerate(g.edges):
-            xu = (inner >> (2 * e)) & 1
-            xv = (inner >> (2 * e + 1)) & 1
-            w *= b[xu + xv]
-            if w == 0:
-                break
-            counts[u] += xu
-            counts[v] += xv
-        if w == 0:
-            continue
-        for tau in range(1 << dang):
-            cts = counts.copy()
-            for i in range(dang):
-                if (tau >> i) & 1:
-                    cts[slot_vertex[i]] += 1
-            term = w
-            for v in range(g.n):
-                fv = complex(tables[v][cts[v]])
-                if fv == 0:
-                    term = 0j
-                    break
-                term *= fv
-            full[tau] += term
-
-    # symmetry check, then collapse to weight-indexed values
-    eff = np.zeros(dang + 1, dtype=complex)
     by_weight = [[] for _ in range(dang + 1)]
-    for tau in range(1 << dang):
-        by_weight[bin(tau).count("1")].append(full[tau])
-    scale = max(1.0, float(np.max(np.abs(full))))
+    for t in itertools.product(*(range(c + 1) for c in slots)):
+        cut = [SymmetricSignature(gadget.assign[v].values[t[v] : t[v] + deg[v] + 1]) for v in inner]
+        z = _contraction(h, cut + [edge] * g.m, 0)[0]
+        for v in range(g.n):
+            if not deg[v]:
+                z = z * gadget.assign[v].values[t[v]]
+        by_weight[sum(t)].append(z if exact else complex(z))
+
+    scale = max(1.0, max(abs(z) for vals in by_weight for z in vals))
     for k, vals in enumerate(by_weight):
-        arr = np.asarray(vals)
-        if np.max(np.abs(arr - arr[0])) > 1e-9 * scale:
+        spread = max(abs(z - vals[0]) for z in vals)
+        if spread > (0 if exact else 1e-9 * scale):
             raise AsymmetricGadget(f"gadget is not symmetric at boundary weight {k}")
-        eff[k] = arr[0]
-    return eff
+    if exact:
+        return [Fraction(vals[0]) for vals in by_weight]
+    eff = np.array([vals[0] for vals in by_weight])
+    return eff.real if all(s.is_real for s in sigs) else eff

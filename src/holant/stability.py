@@ -29,14 +29,9 @@ DELTA_CAP = 0.45
 
 @dataclass(frozen=True)
 class Poly:
-    """Dense complex polynomial c_0 + c_1 z + ... + c_n z^n.
-
-    A trailing zero coefficient is only meaningful when ``truncated`` is
-    set, marking the vector as the prefix of a longer series.
-    """
+    """Dense complex polynomial c_0 + c_1 z + ... + c_n z^n."""
 
     coeffs: tuple
-    truncated: bool = False
 
     def __post_init__(self):
         if len(self.coeffs) == 0:
@@ -58,7 +53,7 @@ class Poly:
         return acc
 
     def scaled(self, t) -> "Poly":
-        return Poly(tuple(t * c for c in self.coeffs), self.truncated)
+        return Poly(tuple(t * c for c in self.coeffs))
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=complex)

@@ -162,27 +162,6 @@ def _powu(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def contract_tensor(f: SymmetricSignature, M: Matrix2) -> SymmetricSignature:
-    """Reference 2^d tensor contraction of f . M^(x)d (test oracle, d <= 8)."""
-    d = f.arity
-    if d > 8:
-        raise ArgumentError("tensor contraction oracle is limited to arity <= 8")
-    shape = (2,) * d
-    T = np.empty(shape, dtype=complex)
-    for idx in np.ndindex(*shape):
-        T[idx] = complex(f.values[sum(idx)])
-    Ma = M.as_array()
-    for _ in range(d):
-        # contract the first axis with M's first index, rotating axes
-        T = np.tensordot(T, Ma, axes=([0], [0]))
-    out = np.empty(d + 1, dtype=complex)
-    for idx in np.ndindex(*shape):
-        w = sum(idx)
-        if all(idx[i] >= idx[i + 1] for i in range(d - 1)):
-            out[w] = T[idx]
-    return SymmetricSignature(tuple(out))
-
-
 def cast_real(f: SymmetricSignature, tol: float = CAST_TOL) -> SymmetricSignature:
     """Drop imaginary parts that are pure float noise; error beyond tol."""
     vals = f.as_complex()

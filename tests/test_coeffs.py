@@ -1,5 +1,9 @@
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from test_graphs import enumerate_coeffs
 
 from holant.coeffs import (
     additive_power_sums,
@@ -8,8 +12,8 @@ from holant.coeffs import (
     power_sums_from_coeffs,
 )
 from holant.errors import ArgumentError, GuardExceeded
-from holant.graphs import complete, cycle, disjoint_union, random_regular
-from holant.signatures import signature
+from holant.graphs import Multigraph, brute_force_coeffs, complete, cycle, disjoint_union, random_regular
+from holant.signatures import SymmetricSignature, signature
 
 
 def test_power_sums_of_square():
@@ -60,6 +64,56 @@ def test_naive_k0():
 def test_naive_cycle_even_prefix():
     out = naive_low_coeffs(cycle(6), signature([1, 0, 1]), 3)
     assert out == [1, 0, 0, 0]
+
+
+def random_prefix_instance(rng, kind):
+    """A multigraph of at most 8 vertices and 11 edges with self-loops,
+    parallel edges and isolated vertices, and a signature with f_0 = 1 whose
+    arity may exceed the largest degree."""
+    n = rng.randint(1, 8)
+    used = rng.sample(range(n), rng.randint(1, n))  # the other vertices stay isolated
+    edges = [(rng.choice(used), rng.choice(used)) for _ in range(rng.randint(0, 11))]
+    edges += edges[:1] if len(edges) < 11 and rng.random() < 0.5 else []
+    g = Multigraph(n, tuple(edges))
+    arity = max(g.degrees() + [1]) + rng.randint(0, 2)
+    if kind == "rational":
+        pick = lambda: rng.choice([0, rng.randint(1, 5), Fraction(rng.randint(1, 9), rng.randint(1, 9))])
+        rest = [pick() for _ in range(arity)]
+        return g, SymmetricSignature((1, *rest))
+    rest = [rng.choice([0.0, rng.uniform(0.1, 2.0)]) for _ in range(arity)]
+    return g, SymmetricSignature((1.0, *rest))
+
+
+@pytest.mark.parametrize("kind", ["rational", "float"])
+def test_naive_matches_enumeration_cut_to_k(kind):
+    rng = random.Random(f"prefix-{kind}")
+    for _ in range(40):
+        g, f = random_prefix_instance(rng, kind)
+        want = enumerate_coeffs(g, [f] * g.n)
+        scale = max(abs(x) for x in want)
+        for k in range(g.m + 1):
+            got = naive_low_coeffs(g, f, k)
+            assert len(got) == k + 1
+            if kind == "rational":
+                assert got == want[: k + 1] and all(isinstance(x, Fraction) for x in got)
+            else:
+                assert np.isrealobj(got)
+                assert np.max(np.abs(got - np.asarray(want[: k + 1]))) <= 1e-12 * scale
+
+
+def test_naive_prefix_past_the_old_subset_guard():
+    # m = 39, k = 9: 2.9e8 edge subsets of size <= 9
+    g = random_regular(26, 3, 1)
+    f = signature([1, 1, 0, 0])
+    assert naive_low_coeffs(g, f, 9) == brute_force_coeffs(g, f, force=True)[:10]
+
+
+def test_naive_short_prefix_past_the_edge_limit():
+    # 45 edges: above the oracle's hard edge limit, which guards only full
+    # prefixes.  A cubic graph has 45 one-matchings and C(45, 2) - 30 * 3
+    # two-matchings.
+    g = random_regular(30, 3, 1)
+    assert naive_low_coeffs(g, signature([1, 1, 0, 0]), 2) == [1, 45, 900]
 
 
 def test_naive_requires_normalized_head():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -297,3 +298,137 @@ def test_gadget_symmetry_check():
 def test_gadget_arity_bookkeeping():
     with pytest.raises(ArgumentError):
         OpenGadget(cycle(3), ((0, 2),), (signature([0, 1, 0, 0]),) * 3)
+
+
+# ----------------------------------------------------------------------
+# gadget composition against the definition
+
+
+def enumerate_gadget(gadget, b):
+    """Gadget value on every boundary assignment, by the definition.
+
+    Sums over all 2^(2 * inner edges) half-edge assignments: edge e weighs
+    b[x_u + x_v], and each vertex v weighs f_v at its set inner half-edges
+    plus its set dangling slots.  Returns the 2^dangling values, bit i of
+    the index setting boundary slot i, in the input's arithmetic.
+    """
+    g = gadget.graph
+    dang = gadget.boundary_size
+    slot_vertex = [v for v, c in gadget.dangling for _ in range(c)]
+    full = [0] * (1 << dang)
+    for inner in range(1 << (2 * g.m)):
+        counts = [0] * g.n
+        w = 1
+        for e, (u, v) in enumerate(g.edges):
+            xu = (inner >> (2 * e)) & 1
+            xv = (inner >> (2 * e + 1)) & 1
+            w *= b[xu + xv]
+            counts[u] += xu
+            counts[v] += xv
+        if w == 0:
+            continue
+        for tau in range(1 << dang):
+            cts = counts.copy()
+            for i, v in enumerate(slot_vertex):
+                cts[v] += (tau >> i) & 1
+            term = w
+            for v, s in enumerate(gadget.assign):
+                term *= s.values[cts[v]]
+            full[tau] += term
+    return full
+
+
+def collapse_by_weight(full, exact):
+    """The value at each boundary weight, or None when two assignments of
+    one weight disagree (exactly, or beyond 1e-9 of the largest value)."""
+    scale = max([1.0] + [abs(x) for x in full])
+    eff = []
+    for k in range(len(full).bit_length()):
+        vals = [x for tau, x in enumerate(full) if bin(tau).count("1") == k]
+        if max(abs(x - vals[0]) for x in vals) > (0 if exact else 1e-9 * scale):
+            return None
+        eff.append(vals[0])
+    return eff
+
+
+def random_gadget(rng, kind, shape):
+    """A small random gadget; every shape but "scattered" is symmetric.
+
+    - "one": a random multigraph with every dangling slot at vertex 0,
+      listed as one or two (vertex, count) pairs;
+    - "loose": a closed random multigraph plus a vertex with no inner edge
+      that holds every slot;
+    - "arms": a hub joined to 2-3 identical arms by parallel edges, an arm
+      end with a self-loop or not, and one slot at each arm end;
+    - "scattered": a random multigraph with slots at random vertices.
+    """
+    entry = lambda: random_entry(rng, kind)
+    if shape == "arms":
+        r, par, loop = rng.randint(2, 3), rng.randint(1, 2), rng.random() < 0.5
+        if r * (par + loop) > 5:
+            par, loop = 1, False
+        edges = [(0, a) for a in range(1, r + 1) for _ in range(par)] + [(a, a) for a in range(1, r + 1) if loop]
+        g = Multigraph(r + 1, tuple(edges))
+        deg = g.degrees()
+        arm = SymmetricSignature(tuple(entry() for _ in range(deg[1] + 2)))
+        hub = SymmetricSignature(tuple(entry() for _ in range(deg[0] + 1)))
+        return OpenGadget(g, tuple((a, 1) for a in range(1, r + 1)), (hub,) + (arm,) * r)
+    n = rng.randint(1, 3)
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 4))]
+    edges += [(u, v) for u, v in edges[:1]] if rng.random() < 0.5 else []  # a parallel edge
+    g = Multigraph(n, tuple(edges))
+    dang = rng.randint(1, 3)
+    if shape == "one":
+        dangling = ((0, dang),) if dang == 1 or rng.random() < 0.5 else ((0, 1), (0, dang - 1))
+    elif shape == "loose":
+        g = Multigraph(n + 1, g.edges)
+        dangling = ((n, dang),)
+    else:
+        slots = [rng.randrange(g.n) for _ in range(dang)]
+        dangling = tuple((v, slots.count(v)) for v in sorted(set(slots)))
+    deg = g.degrees()
+    for v, c in dangling:
+        deg[v] += c
+    sigs = tuple(SymmetricSignature(tuple(entry() for _ in range(d + 1))) if d else None for d in deg)
+    if None in sigs:  # a vertex with neither an inner edge nor a slot
+        return random_gadget(rng, kind, shape)
+    return OpenGadget(g, dangling, sigs)
+
+
+@pytest.mark.parametrize("kind", ["rational", "float", "complex"])
+@pytest.mark.parametrize("shape", ["one", "loose", "arms", "scattered"])
+def test_gadget_matches_enumeration(kind, shape):
+    rng = random.Random(f"gadget-{kind}-{shape}")
+    for _ in range(8):
+        gadget = random_gadget(rng, kind, shape)
+        b = [random_entry(rng, kind) for _ in range(3)]
+        exact = kind == "rational"
+        want = collapse_by_weight(enumerate_gadget(gadget, b), exact)
+        if shape != "scattered":
+            assert want is not None
+        if want is None:
+            with pytest.raises(AsymmetricGadget):
+                compose_gadget(gadget, b)
+            continue
+        got = compose_gadget(gadget, b)
+        if exact:
+            assert got == want and all(isinstance(x, Fraction) for x in got)
+            continue
+        scale = max([1e-300] + [abs(x) for x in want])
+        assert np.max(np.abs(got - np.asarray(want))) <= 1e-12 * scale
+        assert np.isrealobj(got) == (kind == "float")
+
+
+def test_gadget_petersen_minus_a_vertex_closes_to_petersen():
+    # 12 inner edges and 3 dangling edges: 2^27 half-edge assignments, which
+    # an enumerating composition cannot afford
+    pet = petersen()
+    keep = {v: v - 1 for v in range(1, pet.n)}
+    inner = tuple((keep[u], keep[v]) for u, v in pet.edges if 0 not in (u, v))
+    nbrs = sorted(keep[u if v == 0 else v] for u, v in pet.edges if 0 in (u, v))
+    f = signature([1, 2, 1, 3])
+    gadget = OpenGadget(Multigraph(9, inner), tuple((v, 1) for v in nbrs), (f,) * 9)
+    eff = compose_gadget(gadget, [1, 0, 1])
+    assert all(isinstance(x, Fraction) for x in eff)
+    z = sum(math.comb(3, w) * eff[w] * f.values[w] for w in range(4))
+    assert z == brute_force_Z(pet, f) == 4677889

@@ -11,11 +11,29 @@ from holant.transform import (
     Matrix2,
     apply_holographic,
     cast_real,
-    contract_tensor,
     find_stabilizing_transform,
     rotation_from_w,
     transform_equality,
 )
+
+
+def contract_tensor(f: SymmetricSignature, M: Matrix2) -> SymmetricSignature:
+    """Reference 2^d tensor contraction of f . M^(x)d."""
+    d = f.arity
+    shape = (2,) * d
+    T = np.empty(shape, dtype=complex)
+    for idx in np.ndindex(*shape):
+        T[idx] = complex(f.values[sum(idx)])
+    Ma = M.as_array()
+    for _ in range(d):
+        # contract the first axis with M's first index, rotating axes
+        T = np.tensordot(T, Ma, axes=([0], [0]))
+    out = np.empty(d + 1, dtype=complex)
+    for idx in np.ndindex(*shape):
+        w = sum(idx)
+        if all(idx[i] >= idx[i + 1] for i in range(d - 1)):
+            out[w] = T[idx]
+    return SymmetricSignature(tuple(out))
 
 
 def random_matrix(rng):
