@@ -38,7 +38,6 @@ from .coeffs import (
 from .errors import GuardExceeded, HolantError
 from .evaluator import approximate_Z
 from .graphs import (
-    EDGE_LIMIT_SOFT,
     brute_force_Z,
     brute_force_coeffs,
     complete,
@@ -126,14 +125,7 @@ def cmd_approx(args) -> int:
         _report(args, inputs, {"method": "trivial", "classification": outcome.tag, "value": 0}, started, 0)
         return EXIT_OK
     if outcome.tag in (EXACT_POLY_TIME, DEGENERATE):
-        if g.m > EDGE_LIMIT_SOFT and not args.force:
-            doc = {
-                "refusal": f"exact evaluation beyond {EDGE_LIMIT_SOFT} edges needs --force",
-                "classification": outcome.tag,
-            }
-            _report(args, inputs, doc, started)
-            return EXIT_GUARD
-        val = brute_force_Z(g, sig, force=args.force)
+        val = brute_force_Z(g, sig)
         doc = {
             "method": "oracle",
             "classification": outcome.tag,
@@ -153,7 +145,7 @@ def cmd_exact(args) -> int:
     started = time.perf_counter()
     sig = formats.parse_signature(_read(args.signature))
     g = formats.parse_graph(_read(args.graph))
-    val = brute_force_Z(g, sig, force=args.force)
+    val = brute_force_Z(g, sig)
     doc = {"value": formats.number_to_json(val), "exact": sig.is_exact}
     _report(args, {"signature": args.signature, "graph": args.graph}, doc, started, val)
     return EXIT_OK
@@ -188,7 +180,7 @@ def cmd_zeros(args) -> int:
     if args.graph is None and args.family is None:
         raise HolantError("zeros needs a graph file or --family/--n")
     g, label = _load_graph(args)
-    coeffs = brute_force_coeffs(g, sig, force=args.force)
+    coeffs = brute_force_coeffs(g, sig)
     poly = Poly(tuple(complex(x) for x in coeffs))
     roots = find_roots(poly) if poly.degree >= 1 else np.array([])
     sys.stdout.write(formats.roots_csv((r, label) for r in roots))
@@ -241,13 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("signature")
     p.add_argument("graph")
     p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_approx)
 
     p = sub.add_parser("exact", help="exact oracle")
     p.add_argument("signature")
     p.add_argument("graph")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("coeffs", help="low-order coefficients / power sums")
@@ -262,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", nargs="?")
     p.add_argument("--family", choices=("cycle", "complete", "petersen"))
     p.add_argument("--n", type=int)
-    p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_zeros)
 
     p = sub.add_parser("gadget", help="effective signature of an open gadget")

@@ -110,10 +110,10 @@ def naive_low_coeffs(g: Multigraph, f: SymmetricSignature, k: int):
     at k + 1.
 
     Each vertex carries f cut to its degree, and an isolated vertex is the
-    factor f_0 = 1.  The full prefix (k >= m) is brute_force_coeffs, under
-    the oracle's hard edge limit; a shorter one is guarded only by the
-    plan's entry cap.  Exact (list of Fractions) when f is rational, else
-    a numpy vector, real when f is real.
+    factor f_0 = 1.  The full prefix (k >= m) is brute_force_coeffs; like
+    a shorter one it is guarded only by the plan's entry cap.  Exact (list
+    of Fractions) when f is rational, else a numpy vector, real when f is
+    real.
     """
     _check_f0_one(f)
     if k < 0:
@@ -125,7 +125,7 @@ def naive_low_coeffs(g: Multigraph, f: SymmetricSignature, k: int):
     pos = {v: i for i, v in enumerate(kept)}
     h = Multigraph(len(kept), tuple((pos[u], pos[v]) for u, v in g.edges))
     sigs = [SymmetricSignature(f.values[: deg[v] + 1]) for v in kept]
-    out = brute_force_coeffs(h, sigs, force=True) if k >= g.m else _contraction(h, sigs, k + 1)
+    out = brute_force_coeffs(h, sigs) if k >= g.m else _contraction(h, sigs, k + 1)
     if f.is_exact:
         return [Fraction(x) for x in out]
     return np.asarray(out, dtype=float if f.is_real else complex)

@@ -34,7 +34,7 @@ from .coeffs import (
     naive_low_coeffs,
     power_sums_from_coeffs,
 )
-from .errors import ArgumentError, HolantError
+from .errors import ArgumentError, GuardExceeded, HolantError
 from .graphs import Multigraph
 from .signatures import SymmetricSignature, local_polynomial, reverse
 from .stability import DELTA_CAP, Poly, find_roots, h_eps_stability, strip_halfwidth
@@ -46,6 +46,12 @@ from .transform import (
     rotation_from_w,
     rotation_margins,
 )
+
+# Largest edge count the evaluator takes.  The coefficients of P_G o phi
+# grow to about Z, and the Newton recurrence for the power sums takes
+# differences of such numbers, so at about 84 edges it loses every digit;
+# 40 keeps every run well inside its range.
+EDGE_LIMIT = 40
 
 # phi coefficient vectors are materialized up to this order; beyond it the
 # polynomial is represented lazily (prefix on demand, closed-form values)
@@ -61,6 +67,8 @@ FLOOR_C = 1.5
 ROOT_CLEARANCE = 1.02
 
 IMAG_TOL = 1e-6
+# margins closer than this are ties in the margin search
+MARGIN_TIE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -341,6 +349,8 @@ def approximate_Z(
         raise ArgumentError(f"approximate_Z needs a StableTransform signature, got {outcome.tag}")
     if not g.is_regular(f.arity):
         raise ArgumentError("graph must be regular of degree equal to the signature arity")
+    if g.m > EDGE_LIMIT:
+        raise GuardExceeded(f"{g.m} edges exceeds the evaluator's limit of {EDGE_LIMIT}")
 
     k0 = int(math.ceil(4.0 * math.log(max(g.m, 2) / eps)))
     attempts = [(outcome.matrix, outcome.use_reversal, "constructive")]
@@ -408,6 +418,11 @@ def _margin_search(f: SymmetricSignature):
     ranks each stage's candidates; the certificate comes from
     ``h_eps_stability``.  Should it reject the winner, the other ranked
     candidates are tried in decreasing margin order.
+
+    Near its optimum a margin is accurate to about 1e-8, so a candidate
+    replaces the best only when it beats it by more than that.  Ties thus
+    go to the first candidate in sweep order: by angle, then delta0 before
+    delta1, then f before its reversal.
     """
     best = None  # (margin, theta, convention, use_reversal)
     ranked = []
@@ -418,7 +433,7 @@ def _margin_search(f: SymmetricSignature):
         for cand, margin in zip(grid, margins):
             if margin > -math.inf:
                 ranked.append((margin, *cand))
-                if best is None or margin > best[0] + 1e-15:
+                if best is None or margin > best[0] + MARGIN_TIE:
                     best = ranked[-1]
         if best is None:
             return None
@@ -442,10 +457,10 @@ def _best_first(best, ranked):
 def _coefficient_prefix(g: Multigraph, gprime: SymmetricSignature):
     """All of Z_0..Z_m of P_G for the normalized signature.
 
-    Past the oracle's hard edge limit, or its contraction cap, the oracle
-    raises GuardExceeded.  No shorter prefix is tried: every rung's
-    convergence floor exceeds what a short prefix holds, and rung
-    soundness needs the roots of all of P_G.
+    The contraction refuses a plan above its entry cap with GuardExceeded;
+    approximate_Z has already refused graphs above EDGE_LIMIT.  No shorter
+    prefix is tried: every rung's convergence floor exceeds what a short
+    prefix holds, and rung soundness needs the roots of all of P_G.
     """
     m = g.m
     if m <= ADDITIVE_K_GUARD and g.is_simple:

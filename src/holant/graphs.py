@@ -11,7 +11,10 @@ on a self-loop's axis); a vertex whose last edge is placed is contracted
 with its signature.  brute_force_Z needs no strata and keeps the degree
 axis at length 1; a prefix Z_0..Z_k cuts it at k + 1.  Edges are placed
 in a greedy order that keeps the state small, and the largest state of
-that order is sized before any work starts.
+that order is sized before any work starts.  That size, not the edge
+count, sets the cost, so it is the only guard on exact work: a plan
+above ENTRY_CAP entries is refused with GuardExceeded before any array
+is allocated, and any plan below it runs.
 
 Gadget composition runs the same contraction once per count vector of
 the dangling slots, on the inner graph with every edge subdivided by a
@@ -35,10 +38,6 @@ import numpy as np
 from .errors import ArgumentError, AsymmetricGadget, GuardExceeded
 from .signatures import SymmetricSignature
 
-# Hard ceiling on oracle instance size, and the practical ceiling above
-# which a force flag is required.
-EDGE_LIMIT_HARD = 40
-EDGE_LIMIT_SOFT = 26
 # Largest contraction state, in array entries, that a plan may call for.
 ENTRY_CAP = 1 << 24
 
@@ -158,15 +157,6 @@ def _vertex_signatures(g: Multigraph, assign) -> list:
     return sigs
 
 
-def _check_guards(m: int, force: bool) -> None:
-    if m > EDGE_LIMIT_HARD:
-        raise GuardExceeded(f"{m} edges exceeds the hard oracle limit of {EDGE_LIMIT_HARD}")
-    if m > EDGE_LIMIT_SOFT and not force:
-        raise GuardExceeded(
-            f"{m} edges exceeds the practical oracle limit of {EDGE_LIMIT_SOFT}; pass force=True"
-        )
-
-
 def _live_lengths(sigs) -> list:
     """Per vertex, one past the largest count whose signature entry is nonzero.
 
@@ -281,7 +271,7 @@ def _contraction(g: Multigraph, sigs, strata: int) -> np.ndarray:
     return _contract(g, sigs, order, live, strata)
 
 
-def brute_force_coeffs(g: Multigraph, assign, force: bool = False):
+def brute_force_coeffs(g: Multigraph, assign):
     """Stratified sums Z_0..Z_m: Z_k sums over assignments of weight k.
 
     Exact (list of Fractions) when all signature entries are rational,
@@ -289,17 +279,15 @@ def brute_force_coeffs(g: Multigraph, assign, force: bool = False):
     equals brute_force_Z.
     """
     sigs = _vertex_signatures(g, assign)
-    _check_guards(g.m, force)
     out = _contraction(g, sigs, g.m + 1)
     if out.dtype == object:
         return [Fraction(x) for x in out]
     return out
 
 
-def brute_force_Z(g: Multigraph, assign, force: bool = False):
+def brute_force_Z(g: Multigraph, assign):
     """Exact partition function: sum over edge assignments of vertex weights."""
     sigs = _vertex_signatures(g, assign)
-    _check_guards(g.m, force)
     z = _contraction(g, sigs, 0)[0]
     if isinstance(z, np.complexfloating):
         return complex(z)

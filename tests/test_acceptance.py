@@ -137,7 +137,7 @@ def test_criterion_5_strip_zero_freeness():
         dmin = math.inf
         for label, g in small_multigraph_zoo():
             assert g.m <= 10
-            cs = brute_force_coeffs(g, gp, force=True)
+            cs = brute_force_coeffs(g, gp)
             ok, dist = verify_strip_zero_free(Poly(tuple(complex(x) for x in cs)), delta)
             assert ok, f"{vals} on {label}: root inside the {delta:.4f}-strip"
             dmin = min(dmin, dist)

@@ -146,12 +146,38 @@ def test_coeffs_command_engines_agree(capsys, files):
     assert all(abs(a - b) < 1e-9 for a, b in zip(c1, c2))
 
 
-def test_guard_refusal_exit_code(capsys, files, tmp_path):
+def test_exact_needs_no_flag_past_the_old_edge_limit(capsys, files, tmp_path):
     big = str(tmp_path / "big.graph")
-    run(capsys, "gen", "--kind", "random", "--n", "20", "--d", "3", "--seed", "1", "-o", big)
-    code, _, err = run(capsys, "exact", files["matchings"], big)
-    assert code == 2
-    assert "refusal" in err
+    run(capsys, "gen", "--kind", "random", "--n", "20", "--d", "3", "--seed", "1", "-o", big)  # 30 edges
+    code, out, _ = run(capsys, "exact", files["matchings"], big)
+    assert code == 0
+    assert json.loads(out)["outcome"]["value"] == 113532
+
+
+def test_approx_oracle_route_runs_under_the_plan_alone(capsys, files, tmp_path):
+    big = tmp_path / "big.graph"
+    big.write_text(dump_graph(random_regular(28, 3, seed=1)))  # 42 edges, connected
+    code, out, _ = run(capsys, "approx", files["evensub"], str(big))
+    assert code == 0
+    doc = json.loads(out)["outcome"]
+    assert doc["method"] == "oracle" and doc["value"] == 2 ** (42 - 28 + 1)  # the cycle space
+
+
+def test_guard_refusal_exit_code(capsys, files, monkeypatch):
+    import holant.graphs as graphs
+
+    monkeypatch.setattr(graphs, "ENTRY_CAP", 8)
+    code, out, err = run(capsys, "exact", files["matchings"], files["k4"])
+    assert code == 2 and out == ""
+    assert "entries" in json.loads(err)["refusal"]
+
+
+def test_coeffs_full_prefix_past_the_old_edge_limit(capsys, files, tmp_path):
+    big = tmp_path / "big.graph"
+    big.write_text(dump_graph(random_regular(30, 3, seed=1)))  # 45 edges
+    code, out, _ = run(capsys, "coeffs", files["matchings"], str(big), "--k", "45")
+    assert code == 0
+    assert len(json.loads(out)["outcome"]["coeffs"]) == 46
 
 
 def test_approx_past_the_hard_edge_limit_is_refused_at_once(capsys, files, tmp_path):
@@ -161,7 +187,7 @@ def test_approx_past_the_hard_edge_limit_is_refused_at_once(capsys, files, tmp_p
     code, out, err = run(capsys, "approx", files["matchings"], str(big))
     assert time.perf_counter() - started < 1.0
     assert code == 2 and out == ""
-    assert "hard oracle limit" in json.loads(err)["refusal"]
+    assert "evaluator's limit" in json.loads(err)["refusal"]
 
 
 def test_approx_report_names_transform_and_phi(capsys, files):

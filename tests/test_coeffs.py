@@ -105,15 +105,22 @@ def test_naive_prefix_past_the_old_subset_guard():
     # m = 39, k = 9: 2.9e8 edge subsets of size <= 9
     g = random_regular(26, 3, 1)
     f = signature([1, 1, 0, 0])
-    assert naive_low_coeffs(g, f, 9) == brute_force_coeffs(g, f, force=True)[:10]
+    assert naive_low_coeffs(g, f, 9) == brute_force_coeffs(g, f)[:10]
 
 
 def test_naive_short_prefix_past_the_edge_limit():
-    # 45 edges: above the oracle's hard edge limit, which guards only full
-    # prefixes.  A cubic graph has 45 one-matchings and C(45, 2) - 30 * 3
-    # two-matchings.
+    # 45 edges, above the oracle's old hard limit of 40.  A cubic graph has
+    # 45 one-matchings and C(45, 2) - 30 * 3 two-matchings.
     g = random_regular(30, 3, 1)
     assert naive_low_coeffs(g, signature([1, 1, 0, 0]), 2) == [1, 45, 900]
+
+
+def test_naive_full_prefix_extends_the_short_one():
+    # the full prefix and the one a stratum shorter run on one guard, the
+    # contraction plan, and agree exactly
+    g = random_regular(30, 3, 1)
+    f = signature([1, 1, 0, 0])
+    assert naive_low_coeffs(g, f, 45)[:45] == naive_low_coeffs(g, f, 44)
 
 
 def test_naive_requires_normalized_head():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from holant.coeffs import power_sums_from_coeffs
-from holant.errors import ArgumentError
+from holant.errors import ArgumentError, GuardExceeded
 from holant.evaluator import (
     ApproxResult,
     approximate_Z,
@@ -167,10 +167,21 @@ def test_not_converged_flag(monkeypatch):
 
 
 def test_full_prefix_past_the_soft_edge_limit():
-    # 30 edges: beyond the oracle's unforced limit the evaluator still
+    # 30 edges, once past the oracle's old unforced limit: the evaluator
     # takes every coefficient of P_G and converges
     g = random_regular(20, 3, seed=1)
-    truth = float(brute_force_Z(g, signature([1, 1, 0, 0]), force=True))
+    truth = float(brute_force_Z(g, signature([1, 1, 0, 0])))
     res = approximate_Z(g, signature([1, 1, 0, 0]), 0.05)
     assert res.converged
     assert abs(res.estimate / truth - 1) <= 0.05
+
+
+def test_evaluator_edge_limit_is_checked_before_any_work(monkeypatch):
+    import holant.evaluator as ev
+
+    def never(*args):
+        raise AssertionError("the evaluator ran")
+
+    monkeypatch.setattr(ev, "_Attempt", never)
+    with pytest.raises(GuardExceeded, match="evaluator"):
+        approximate_Z(random_regular(28, 3, seed=1), signature([1, 1, 0, 0]), 0.05)  # 42 edges

@@ -140,12 +140,6 @@ def test_degree_mismatch_raises():
         brute_force_Z(cycle(4), signature([1, 1, 0, 0]))
 
 
-def test_edge_guard():
-    g = random_regular(20, 3, seed=1)  # 30 edges
-    with pytest.raises(GuardExceeded):
-        brute_force_Z(g, signature([1.0, 1.0, 0.0, 0.0]))
-
-
 # ----------------------------------------------------------------------
 # the contraction against the definition
 

@@ -34,7 +34,7 @@ def scalar_margin_search(f):
                 for use_rev in (False, True):
                     M = rotation_from_w(math.tan(th), conv)
                     cert = h_eps_stability(local_polynomial(apply_holographic(rev if use_rev else f, M)))
-                    if cert is not None and (best is None or cert.margin > best[0] + 1e-15):
+                    if cert is not None and (best is None or cert.margin > best[0] + ev.MARGIN_TIE):
                         best = (cert.margin, float(th), conv, use_rev)
         step = thetas[1] - thetas[0]
         thetas = np.linspace(best[1] - step, best[1] + step, 41)
@@ -173,6 +173,31 @@ def test_margin_search_picks_what_the_scalar_sweep_picks(vals):
     assert got.matrix == rotation_from_w(math.tan(th), conv)
     assert got.use_reversal == use_rev
     assert got.certificate.margin == margin
+
+
+def test_margin_search_winner_survives_noise_below_the_tie_slack(monkeypatch):
+    # (th, conv, f) and (-th, other conv, reversal) have equal margins in
+    # exact arithmetic, and the stage-one optimum of [1,2,3,4] is such a
+    # pair, split by rounding.  Noise that swaps the pair's order, leaving
+    # it as close as before, must not move the winner.
+    f = signature([1, 2, 3, 4])
+    want = ev._margin_search(f)
+    thetas = np.linspace(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, 157)
+    grid = [(math.tan(th), conv, rev) for th in thetas for conv in ("delta0", "delta1") for rev in (False, True)]
+    margins = ev.rotation_margins(f, grid)
+    top = int(np.argmax(margins))
+    mirror = len(grid) - 1 - top  # the grid is symmetric under this reflection
+    gap = margins[top] - margins[mirror]
+    assert 0 < gap < ev.MARGIN_TIE
+    exact = ev.rotation_margins
+
+    def noisy(f, cands):
+        return [m - 2 * gap if rev == grid[top][2] else m for m, (_, _, rev) in zip(exact(f, cands), cands)]
+
+    monkeypatch.setattr(ev, "rotation_margins", noisy)
+    got = ev._margin_search(f)
+    assert got.matrix == want.matrix
+    assert got.use_reversal == want.use_reversal
 
 
 def test_margin_search_tries_the_runner_up_when_the_winner_is_rejected(monkeypatch):

@@ -129,6 +129,6 @@ def test_strip_zero_freeness_holds_for_stable_signatures():
         delta = strip_halfwidth(out.certificate.eps)
         for g in _three_regular_multigraphs():
             assert g.m <= 10
-            coeffs = brute_force_coeffs(g, g_t, force=True)
+            coeffs = brute_force_coeffs(g, g_t)
             ok, dist = verify_strip_zero_free(Poly(tuple(complex(x) for x in coeffs)), delta)
             assert ok and dist > 0
