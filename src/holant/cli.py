@@ -30,6 +30,7 @@ from .classify import (
     classify,
 )
 from .coeffs import (
+    PowerSums,
     additive_power_sums,
     coeffs_from_power_sums,
     naive_low_coeffs,
@@ -158,7 +159,7 @@ def cmd_coeffs(args) -> int:
     norm, scale, rev = normalize_leading(sig)
     if args.engine == "naive":
         c = naive_low_coeffs(g, norm, args.k)
-        p = power_sums_from_coeffs([complex(x) for x in c], g.m, min(args.k, g.m))
+        p = PowerSums(power_sums_from_coeffs([complex(x) for x in c], g.m, min(args.k, g.m)))
         coeff_json = [formats.number_to_json(x) for x in c]
     else:
         p = additive_power_sums(g, norm, args.k)

@@ -46,13 +46,14 @@ class PowerSums:
         return len(self.values) - 1
 
 
-def power_sums_from_coeffs(coeffs, total_degree: int, k: int = None, prefix=None) -> PowerSums:
-    """Newton's identities: p_j from c_0..c_j, with p_0 = total_degree.
+def power_sums_from_coeffs(coeffs, total_degree: int, k: int = None, prefix=None) -> np.ndarray:
+    """Newton's identities: the array p_0..p_k from c_0..c_k, p_0 = total_degree.
 
     Uses the recurrence p_j = -(j c_j + sum_{i=1}^{j-1} p_i c_{j-i}) / c_0,
-    in float64 when every coefficient is real.  ``prefix`` (the PowerSums
-    p_0..p_i of an earlier call on the same leading coefficients) is kept as
-    it is, and the recurrence continues from p_{i+1}.
+    in float64 when every coefficient is real (and the array is then
+    float64), else in complex128.  ``prefix`` (p_0..p_i of an earlier call
+    on the same leading coefficients, an array or PowerSums) is kept as it
+    is, and the recurrence continues from p_{i+1}.
     """
     c = np.asarray(coeffs)
     if c.dtype.kind not in "fc":
@@ -72,7 +73,7 @@ def power_sums_from_coeffs(coeffs, total_degree: int, k: int = None, prefix=None
     p = np.zeros(k + 1, dtype=dtype)
     if start > 1:
         # real coefficients have real power sums
-        pre = np.asarray(prefix.values[1:start])
+        pre = np.asarray(prefix[1:start])
         p[1:start] = pre if dtype.kind == "c" else pre.real
     p[0] = total_degree
     cs = rc.tolist()  # Python scalars: cheaper per step than numpy ones
@@ -80,7 +81,7 @@ def power_sums_from_coeffs(coeffs, total_degree: int, k: int = None, prefix=None
     with np.errstate(invalid="ignore", over="ignore"):
         for j in range(start, k + 1):
             p[j] = -(j * cs[k - j] + np.dot(p[1:j], rc[k - j + 1 : k])) / c0
-    return PowerSums(tuple(p.tolist()))
+    return p
 
 
 def coeffs_from_power_sums(p, k: int) -> np.ndarray:
@@ -289,7 +290,7 @@ def additive_power_sums(g: Multigraph, f: SymmetricSignature, k: int) -> PowerSu
         h = _induced(g, s)
         cs = naive_low_coeffs(h, f, min(k, h.m))
         cs = [complex(x) for x in cs]
-        p_h = np.asarray(power_sums_from_coeffs(cs, h.m, k).values)
+        p_h = power_sums_from_coeffs(cs, h.m, k)
         corr = np.zeros(k + 1, dtype=complex)
         # proper connected subsets of the representative, via the global map
         local = _connected_subsets({u: adj[u] & s for u in s}, s, len(s))

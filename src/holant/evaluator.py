@@ -16,6 +16,12 @@ coefficient prefix itself, and a ladder rung is trusted only when every
 root's preimage under phi stays outside the closed unit disk.  A
 stabilization test on the successive estimates (with a floor tied to the
 rung's own convergence scale) decides acceptance.
+
+A rung with a root preimage strictly inside the disk is doomed.  When a
+transform's candidates are all doomed its ladder holds only the smallest
+of them, as a best-effort record; for the constructive transform that
+ladder runs last, after the margin search, and only when no ladder was
+accepted.
 """
 
 from __future__ import annotations
@@ -245,11 +251,7 @@ def _series_estimates(c, phi: PhiMap, k: int, prefix=None):
     with np.errstate(over="ignore", invalid="ignore"):
         comp = compose_prefix(c, phi, k)
         p = power_sums_from_coeffs(comp, k, k, prefix=prefix)
-        pv = np.asarray(p.values)[1:]
-        if not pv.imag.any():
-            pv = pv.real
-        terms = pv / np.arange(1, k + 1)
-        return -np.cumsum(terms), p
+        return -np.cumsum(p[1:] / np.arange(1, k + 1)), p
 
 
 def _scan_stop(T: np.ndarray, eps: float, floor: int):
@@ -277,9 +279,10 @@ def _scan_stop(T: np.ndarray, eps: float, floor: int):
 class _Attempt:
     """One transform's full evaluation state: prefix, rungs, ladder scan."""
 
-    def __init__(self, g: Multigraph, f: SymmetricSignature, matrix: Matrix2, use_rev: bool):
+    def __init__(self, g: Multigraph, f: SymmetricSignature, matrix: Matrix2, use_rev: bool, label: str):
         h = reverse(f) if use_rev else f
         transformed = cast_real(apply_holographic(h, matrix))
+        self.label = label
         self.matrix = matrix
         self.use_rev = use_rev
         self.g0 = float(transformed.values[0])
@@ -291,11 +294,14 @@ class _Attempt:
             raise HolantError("transformed local polynomial failed the stability check")
         self.delta_cert = strip_halfwidth(self.cert.eps)
         self.c, self.engine = _coefficient_prefix(g, self.gprime)
-        self.rungs = _build_rungs(self.delta_cert, self.c)
+        self.rungs, self.verdicts = _build_rungs(self.delta_cert, self.c)
+        # the ladder is only the certain-divergence last resort
+        self.doomed = all(verdict == "doomed" for _, verdict, _ in self.verdicts)
 
     def run_ladder(self, eps: float, k0: int):
-        """(T, phi, k, sound, accepted_flag) for the first stabilized rung,
-        else the most stable attempt seen."""
+        """(self, T, phi, k, sound, accepted_flag) for the first stabilized
+        rung, else for the most stable attempt seen; None when every rung
+        overflowed at once."""
         fallback = None
         for dp, sound in self.rungs:
             phi = build_phi(dp)
@@ -306,7 +312,7 @@ class _Attempt:
                 T, p = _series_estimates(self.c, phi, k, p)
                 j = _scan_stop(np.real(T), eps, floor)
                 if j is not None:
-                    return T, phi, j, sound, True
+                    return self, T, phi, j, sound, True
                 # best-effort record: the longest representable prefix
                 finite = np.isfinite(np.real(T)) & (np.abs(np.real(T)) < 700.0)
                 jfin = int(np.argmin(finite)) if not finite.all() else k
@@ -320,7 +326,7 @@ class _Attempt:
         if fallback is None:
             return None
         _, T, phi, k, sound = fallback
-        return T, phi, k, sound, False
+        return self, T, phi, k, sound, False
 
 
 def approximate_Z(
@@ -339,7 +345,12 @@ def approximate_Z(
     When the classifier's constructive transform leaves every ladder rung
     without root clearance (its margin only certifies a sliver of a strip),
     a deterministic sweep over the rotation family retries with the
-    margin-maximizing transform before giving up.
+    margin-maximizing transform before giving up.  A constructive ladder
+    that holds only a doomed rung (a root preimage strictly inside the
+    unit disk) is not run first: the margin search goes ahead, and the
+    doomed rung runs last, as a best-effort record, only when no attempt
+    was accepted.  An unaccepted constructive record still wins over an
+    unaccepted margin-search one.
     """
     if not (0.0 < eps < 1.0):
         raise ArgumentError("eps must lie in (0, 1)")
@@ -353,25 +364,23 @@ def approximate_Z(
         raise GuardExceeded(f"{g.m} edges exceeds the evaluator's limit of {EDGE_LIMIT}")
 
     k0 = int(math.ceil(4.0 * math.log(max(g.m, 2) / eps)))
-    attempts = [(outcome.matrix, outcome.use_reversal, "constructive")]
-    chosen = None  # (attempt, T, phi, k_used, sound, label, accepted)
-    for matrix, use_rev, label in attempts:
-        attempt = _Attempt(g, f, matrix, use_rev)
-        out = attempt.run_ladder(eps, k0)
-        if out is not None:
-            T, phi, k_used, sound, accepted = out
-            if accepted or chosen is None:
-                chosen = (attempt, T, phi, k_used, sound, label, accepted)
-            if accepted:
-                break
-        if label == "constructive":
-            alt = _margin_search(f)
-            if alt is not None and alt.certificate.margin > 1.05 * attempt.cert.margin:
-                attempts.append((alt.matrix, alt.use_reversal, "margin-search"))
+    constructive = _Attempt(g, f, outcome.matrix, outcome.use_reversal, "constructive")
+    built = [constructive]
+    # a ladder outcome: (attempt, T, phi, k_used, sound, accepted) or None
+    chosen = None if constructive.doomed else constructive.run_ladder(eps, k0)
+    if not _accepted(chosen):
+        alt = _margin_search(f)
+        if alt is not None and alt.certificate.margin > 1.05 * constructive.cert.margin:
+            built.append(_Attempt(g, f, alt.matrix, alt.use_reversal, "margin-search"))
+            out = built[-1].run_ladder(eps, k0)
+            if chosen is None or _accepted(out):
+                chosen = out
+    if constructive.doomed and not _accepted(chosen):
+        chosen = constructive.run_ladder(eps, k0) or chosen
     if chosen is None:
         raise HolantError("the log series diverged on every available rung")
 
-    attempt, T, phi, k_used, sound, label, converged = chosen
+    attempt, T, phi, k_used, sound, converged = chosen
     t_final = complex(T[k_used - 1])
     if abs(t_final.imag) > IMAG_TOL:
         raise HolantError(f"imaginary residue {t_final.imag:.2e} in the log series")
@@ -390,7 +399,8 @@ def approximate_Z(
         "phi_order": phi.order,
         "rung_sound": sound,
         "rungs_tried": [r for r, _ in attempt.rungs],
-        "transform_source": label,
+        "transform_source": attempt.label,
+        "rung_verdicts": {a.label: [list(v) for v in a.verdicts] for a in built},
         "imag_residue": abs(t_final.imag),
     }
     return ApproxResult(
@@ -406,6 +416,10 @@ def approximate_Z(
         converged=converged,
         diagnostics=diagnostics,
     )
+
+
+def _accepted(out) -> bool:
+    return out is not None and out[-1]
 
 
 def _margin_search(f: SymmetricSignature):
@@ -471,14 +485,22 @@ def _coefficient_prefix(g: Multigraph, gprime: SymmetricSignature):
 
 
 def _build_rungs(delta_cert: float, full_coeffs):
-    """Ordered (phi parameter, sound flag) ladder.
+    """(rungs, verdicts): the ordered (phi parameter, sound flag) ladder, and
+    (phi parameter, verdict, clearance) for every candidate.
 
     Candidates are the certified parameter (when its convergence floor is
     affordable; parameters below it are certified too but only slower) and
-    the default rungs above it.  A rung counts as sound when certified or,
-    given the exact P_G roots, when every root preimage clears the unit
-    disk.  Sound rungs run first, largest parameter (fastest) first; murky
-    rungs follow as a last resort, guarded by the stabilization test.
+    the default rungs above it.  A rung is "sound" when certified or, given
+    the exact P_G roots, when every root preimage clears the unit disk by
+    ROOT_CLEARANCE; "doomed" when a preimage lies strictly inside it
+    (clearance below 0.98: certain divergence); else "murky".  Clearance
+    is the smallest preimage modulus, None for a certified rung or when no
+    root bounds it.  Sound rungs run first, largest parameter (fastest)
+    first; murky rungs follow as a last resort, guarded by the
+    stabilization test.  Doomed rungs are left out, unless every candidate
+    is doomed: then the smallest alone is the ladder, so that a
+    best-effort sequence exists, and approximate_Z runs it last, after the
+    margin search.
     """
     cert_dp = delta_cert / 2.0
     cands = []
@@ -489,24 +511,19 @@ def _build_rungs(delta_cert: float, full_coeffs):
         cands = [(DEFAULT_RUNGS[-1], False)]
     poly = Poly(tuple(full_coeffs))
     roots = find_roots(poly) if poly.degree >= 1 else None
-    sound, murky, doomed = [], [], []
+    verdicts = []
     for dp, certified in cands:
-        ok = certified
-        clearance = math.inf
+        ok, clearance = certified, math.inf
         if not ok and roots is not None:
-            alpha = -math.expm1(-1.0 / dp)
-            clearance = _root_clearance(roots, dp, alpha)
+            clearance = _root_clearance(roots, dp, -math.expm1(-1.0 / dp))
             ok = clearance >= ROOT_CLEARANCE
-        if ok:
-            sound.append((dp, True))
-        elif clearance < 0.98:
-            # a root preimage strictly inside the disk: certain divergence
-            doomed.append((dp, False))
-        else:
-            murky.append((dp, False))
-    sound.sort(key=lambda t: -t[0])
-    murky.sort(key=lambda t: -t[0])
-    if sound or murky:
-        return sound + murky
-    # keep one certain-divergence rung so a best-effort sequence exists
-    return [min(doomed, key=lambda t: t[0])]
+        verdict = "sound" if ok else "doomed" if clearance < 0.98 else "murky"
+        verdicts.append((dp, verdict, clearance if math.isfinite(clearance) else None))
+
+    def ladder(kind):
+        return sorted(((dp, kind == "sound") for dp, v, _ in verdicts if v == kind), key=lambda t: -t[0])
+
+    rungs = ladder("sound") + ladder("murky")
+    if not rungs:
+        rungs = [(min(dp for dp, _, _ in verdicts), False)]
+    return rungs, verdicts

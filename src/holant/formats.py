@@ -183,6 +183,7 @@ def approx_to_json(res: ApproxResult) -> dict:
             "rungs_tried": res.diagnostics["rungs_tried"],
             "imag_residue": res.diagnostics["imag_residue"],
             "transform_source": res.diagnostics["transform_source"],
+            "rung_verdicts": res.diagnostics["rung_verdicts"],
             "phi_order": res.diagnostics["phi_order"],
             "phi_alpha": res.diagnostics["phi_alpha"],
         },

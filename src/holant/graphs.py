@@ -20,8 +20,9 @@ Gadget composition runs the same contraction once per count vector of
 the dangling slots, on the inner graph with every edge subdivided by a
 vertex carrying the edge signature.
 
-With exact (int/Fraction) signature entries the state holds Python
-numbers and the result is exact (Fractions); otherwise it is a float or
+With exact (int/Fraction) signature entries the state holds Python ints
+(each table scaled by its common denominator, divided out once at the
+end) and the result is exact (Fractions); otherwise it is a float or
 complex array.
 """
 
@@ -216,10 +217,19 @@ def _contract(g: Multigraph, sigs, order: list, live: list, strata: int) -> np.n
     """Run a plan: the state holds one degree axis and one count axis per
     frontier vertex, and every axis grows only as edges are placed.  The
     degree axis stops at ``strata`` entries; 0 keeps it at length 1, so the
-    strata are summed."""
+    strata are summed.
+
+    Exact tables are scaled to Python ints by the lcm of their
+    denominators, and the result is divided once by the product of those
+    scales, so the contraction never runs in Fraction arithmetic."""
+    scale = 1
     if all(s.is_exact for s in sigs):
         dtype = object
-        tables = [np.array(s.values, dtype=object) for s in sigs]
+        tables = []
+        for s in sigs:
+            lcm = math.lcm(*(x.denominator for x in s.values))
+            tables.append(np.array([int(x * lcm) for x in s.values], dtype=object))
+            scale *= lcm
     else:
         real = all(s.is_real for s in sigs)
         dtype = float if real else complex
@@ -251,6 +261,8 @@ def _contract(g: Multigraph, sigs, order: list, live: list, strata: int) -> np.n
                 i = frontier.index(w) + 1
                 state = np.tensordot(state, tables[w][: state.shape[i]], axes=([i], [0]))
                 frontier.remove(w)
+    if scale != 1:
+        state = np.array([Fraction(x, scale) for x in state], dtype=object)
     return state
 
 

@@ -13,18 +13,18 @@ from holant.coeffs import (
 )
 from holant.errors import ArgumentError, GuardExceeded
 from holant.graphs import Multigraph, brute_force_coeffs, complete, cycle, disjoint_union, random_regular
-from holant.signatures import SymmetricSignature, signature
+from holant.signatures import SymmetricSignature, normalize_leading, signature
 
 
 def test_power_sums_of_square():
     p = power_sums_from_coeffs([1, 2, 1], 2)
-    assert [complex(x) for x in p.values] == [2, -2, 2]
+    assert [complex(x) for x in p] == [2, -2, 2]
 
 
 def test_power_sums_of_constant():
     p = power_sums_from_coeffs([1, 0, 0, 0], 0)
-    assert all(complex(x) == 0 for x in p.values[1:])
-    assert complex(p.values[0]) == 0
+    assert all(complex(x) == 0 for x in p[1:])
+    assert complex(p[0]) == 0
 
 
 def test_power_sums_requires_constant_term():
@@ -121,6 +121,20 @@ def test_naive_full_prefix_extends_the_short_one():
     g = random_regular(30, 3, 1)
     f = signature([1, 1, 0, 0])
     assert naive_low_coeffs(g, f, 45)[:45] == naive_low_coeffs(g, f, 44)
+
+
+def test_naive_prefix_of_a_normalized_signature():
+    # normalize_leading turns every entry into a Fraction; the prefix is
+    # the integer signature's, exactly
+    g = random_regular(30, 3, 1)
+    f = signature([1, 1, 0, 0])
+    norm, _, _ = normalize_leading(f)
+    assert all(isinstance(x, Fraction) for x in norm.values)
+    got = naive_low_coeffs(g, norm, 44)
+    assert got == naive_low_coeffs(g, f, 44) and all(isinstance(x, Fraction) for x in got)
+    # Z_1 sums f_1^2 over the 45 edges
+    half = SymmetricSignature((1, Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)))
+    assert naive_low_coeffs(g, half, 1) == [1, Fraction(45, 4)]
 
 
 def test_naive_requires_normalized_head():

@@ -185,3 +185,85 @@ def test_evaluator_edge_limit_is_checked_before_any_work(monkeypatch):
     monkeypatch.setattr(ev, "_Attempt", never)
     with pytest.raises(GuardExceeded, match="evaluator"):
         approximate_Z(random_regular(28, 3, seed=1), signature([1, 1, 0, 0]), 0.05)  # 42 edges
+
+
+def _record_attempts_and_series(monkeypatch):
+    """Every _Attempt built and the coefficient prefix of every series run."""
+    import holant.evaluator as ev
+
+    attempts, series = [], []
+    init, estimates = ev._Attempt.__init__, ev._series_estimates
+
+    def record_attempt(self, *args):
+        init(self, *args)
+        attempts.append(self)
+
+    def record_series(c, *args):
+        series.append(c)
+        return estimates(c, *args)
+
+    monkeypatch.setattr(ev._Attempt, "__init__", record_attempt)
+    monkeypatch.setattr(ev, "_series_estimates", record_series)
+    return attempts, series
+
+
+def test_doomed_constructive_ladder_waits_for_the_margin_search(monkeypatch):
+    # every constructive rung of [1,2,3,4] on K4 has a root preimage inside
+    # the unit disk; the margin search's ladder converges, so the doomed
+    # rung never runs
+    attempts, series = _record_attempts_and_series(monkeypatch)
+    res = approximate_Z(complete(4), signature([1, 2, 3, 4]), 0.05)
+    constructive, searched = attempts
+    assert (constructive.label, searched.label) == ("constructive", "margin-search")
+    assert constructive.doomed and not searched.doomed
+    assert series and all(c is searched.c for c in series)
+    assert res.converged
+    assert res.diagnostics["transform_source"] == "margin-search"
+    assert res.k_used == 262
+
+
+def test_doomed_ladder_still_gives_the_best_effort_record(monkeypatch):
+    # with no margin-search transform the doomed rung runs after all, and
+    # the unconverged record is the one it gave when it ran first
+    import holant.evaluator as ev
+
+    monkeypatch.setattr(ev, "_margin_search", lambda f: None)
+    attempts, series = _record_attempts_and_series(monkeypatch)
+    res = approximate_Z(complete(4), signature([1, 2, 3, 4]), 0.05)
+    (constructive,) = attempts
+    assert series and all(c is constructive.c for c in series)
+    assert not res.converged
+    assert res.k_used == 4
+    assert res.delta == 0.25
+    assert res.diagnostics["transform_source"] == "constructive"
+    assert res.diagnostics["rungs_tried"] == [0.125]
+    assert res.diagnostics["rung_sound"] is False
+    assert res.diagnostics["estimates"] == [
+        337.4681253982189,
+        3.1309536943429567e-05,
+        1.522241398878592e21,
+        5.593478747523675e-83,
+    ]
+    assert res.estimate == 5.593478747523675e-83
+    assert list(res.diagnostics["rung_verdicts"]) == ["constructive"]
+
+
+def test_rung_verdicts_in_the_report():
+    import json
+
+    from holant.formats import approx_to_json
+
+    res = approximate_Z(complete(4), signature([1, 2, 3, 4]), 0.05)
+    verdicts = approx_to_json(res)["diagnostics"]["rung_verdicts"]
+    json.dumps(verdicts, allow_nan=False)
+    assert list(verdicts) == ["constructive", "margin-search"]
+    for entries in verdicts.values():
+        for dp, verdict, clearance in entries:
+            assert isinstance(dp, float) and verdict in ("sound", "murky", "doomed")
+            assert clearance is None or (isinstance(clearance, float) and math.isfinite(clearance))
+    assert all(v == "doomed" and c < 0.98 for _, v, c in verdicts["constructive"])
+    # the margin search certifies its own parameter: no root is consulted
+    certified = verdicts["margin-search"][0]
+    assert certified[1:] == ["sound", None]
+    assert certified[0] == res.delta_certified / 2.0
+    assert all(v == "sound" and c >= 1.02 for _, v, c in verdicts["margin-search"][1:])

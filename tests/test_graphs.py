@@ -426,3 +426,29 @@ def test_gadget_petersen_minus_a_vertex_closes_to_petersen():
     assert all(isinstance(x, Fraction) for x in eff)
     z = sum(math.comb(3, w) * eff[w] * f.values[w] for w in range(4))
     assert z == brute_force_Z(pet, f) == 4677889
+
+
+def test_exact_contraction_with_denominators(monkeypatch):
+    # each table is scaled to ints by its common denominator and the
+    # result divided once: the same Fractions as the definition
+    contracted = []
+    tensordot = np.tensordot
+
+    def record(a, b, axes):
+        contracted.extend(b)
+        return tensordot(a, b, axes)
+
+    monkeypatch.setattr(np, "tensordot", record)
+    g = random_regular(6, 3, seed=2)
+    f = signature([Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), 1])
+    want = enumerate_coeffs(g, [f] * g.n)
+    assert brute_force_coeffs(g, f) == want
+    assert brute_force_Z(g, f) == sum(want)
+    rng = random.Random("denominators")
+    sigs = [SymmetricSignature(tuple(Fraction(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(4)))
+            for _ in range(g.n)]
+    want = enumerate_coeffs(g, sigs)
+    got = brute_force_coeffs(g, sigs)
+    assert got == want and all(isinstance(x, Fraction) for x in got)
+    assert brute_force_Z(g, sigs) == sum(want)
+    assert contracted and all(type(x) is int for x in contracted)

@@ -92,20 +92,21 @@ def test_resumed_power_sums_continue_a_fresh_run():
     fresh = power_sums_from_coeffs(comp, 400, 400)
     head = power_sums_from_coeffs(comp, 400, 150)
     # the same coefficients: the continuation repeats the fresh run exactly
-    assert power_sums_from_coeffs(comp, 400, 400, prefix=head).values == fresh.values
+    assert np.array_equal(power_sums_from_coeffs(comp, 400, 400, prefix=head), fresh)
     # a prefix from a shorter composition, as the evaluator's k doubling passes it
     short = power_sums_from_coeffs(ev.compose_prefix(c, phi, 150), 150, 150)
     resumed = power_sums_from_coeffs(comp, 400, 400, prefix=short)
-    assert resumed.values[1:151] == short.values[1:151]
-    assert np.allclose(resumed.values, fresh.values, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(resumed[1:151], short[1:151])
+    assert np.allclose(resumed, fresh, rtol=1e-12, atol=1e-12)
 
 
 def test_power_sums_take_complex_input_and_prefix():
     c = [1.0, 0.5j, -0.25]
     fresh = power_sums_from_coeffs(c, 2, 12)
-    resumed = power_sums_from_coeffs(c, 2, 12, prefix=PowerSums(fresh.values[:5]))
-    assert resumed.values == fresh.values
-    assert any(abs(v.imag) > 0 for v in fresh.values)
+    assert np.array_equal(power_sums_from_coeffs(c, 2, 12, prefix=fresh[:5]), fresh)
+    resumed = power_sums_from_coeffs(c, 2, 12, prefix=PowerSums(fresh[:5]))
+    assert np.array_equal(resumed, fresh)
+    assert fresh.imag.any()
 
 
 def _margin_signatures():
