@@ -25,6 +25,10 @@ from .signatures import SymmetricSignature
 
 ADDITIVE_K_GUARD = 8
 
+# width of the blocks in which power_sums_from_coeffs solves Newton's
+# recurrence past its first BLOCK terms
+BLOCK = 128
+
 
 @dataclass(frozen=True)
 class PowerSums:
@@ -49,11 +53,21 @@ class PowerSums:
 def power_sums_from_coeffs(coeffs, total_degree: int, k: int = None, prefix=None) -> np.ndarray:
     """Newton's identities: the array p_0..p_k from c_0..c_k, p_0 = total_degree.
 
-    Uses the recurrence p_j = -(j c_j + sum_{i=1}^{j-1} p_i c_{j-i}) / c_0,
+    Solves the recurrence c_0 p_j = -(j c_j + sum_{i=1}^{j-1} p_i c_{j-i})
     in float64 when every coefficient is real (and the array is then
-    float64), else in complex128.  ``prefix`` (p_0..p_i of an earlier call
-    on the same leading coefficients, an array or PowerSums) is kept as it
-    is, and the recurrence continues from p_{i+1}.
+    float64), else in complex128.  Terms 1..BLOCK run it step by step.
+    Later terms are solved a block of BLOCK at a time, on a fixed grid: a
+    block's history sum_{i<J} p_i c_{j-i} is one direct convolution, and
+    its in-block part a product with d = 1/C mod z^BLOCK (itself computed
+    by the same recurrence) plus one refinement step.  Every sum is a
+    direct one (no FFT), and the last block is solved at full width and
+    cut, so a term's value does not depend on k.
+
+    ``prefix`` (p_0..p_i of an earlier call on the same leading
+    coefficients, an array or PowerSums) is kept as it is.  The call
+    restarts at the grid block that holds p_{i+1} and puts the kept terms
+    back, so with the same coefficients a resumed call gives the bits of
+    a fresh one.
     """
     c = np.asarray(coeffs)
     if c.dtype.kind not in "fc":
@@ -66,22 +80,52 @@ def power_sums_from_coeffs(coeffs, total_degree: int, k: int = None, prefix=None
         k = len(c) - 1
     start = 1 if prefix is None else min(len(prefix), k + 1)
     dtype = np.result_type(c, np.float64)
-    # reversed coefficients: c_{j-1}, ..., c_1 is the contiguous slice rc[k-j+1:k]
-    rc = np.zeros(k + 1, dtype=dtype)
-    upto = min(len(c), k + 1)
-    rc[k + 1 - upto :] = c[upto - 1 :: -1]
-    p = np.zeros(k + 1, dtype=dtype)
+    # the grid: terms 1..BLOCK, then whole blocks of BLOCK past k
+    size = k + 1 if k <= BLOCK else BLOCK + 1 + -(-(k - BLOCK) // BLOCK) * BLOCK
+    cf = np.zeros(size, dtype=dtype)
+    cf[: min(len(c), k + 1)] = c[: k + 1]
+    p = np.zeros(size, dtype=dtype)
     if start > 1:
         # real coefficients have real power sums
         pre = np.asarray(prefix[1:start])
         p[1:start] = pre if dtype.kind == "c" else pre.real
+    kept = p[1:start].copy()
     p[0] = total_degree
+    head = min(k, BLOCK)
+    # reversed coefficients: c_{j-1}, ..., c_1 is the contiguous slice rc[head-j+1:head]
+    rc = cf[head::-1].copy()
     cs = rc.tolist()  # Python scalars: cheaper per step than numpy ones
-    c0 = cs[k]
+    c0 = cs[head]
     with np.errstate(invalid="ignore", over="ignore"):
-        for j in range(start, k + 1):
-            p[j] = -(j * cs[k - j] + np.dot(p[1:j], rc[k - j + 1 : k])) / c0
-    return p
+        for j in range(start, head + 1):
+            p[j] = -(j * cs[head - j] + np.dot(p[1:j], rc[head - j + 1 : head])) / c0
+        if k > BLOCK:
+            _power_sum_blocks(p, cf, max(BLOCK + 1, start - (start - 1) % BLOCK))
+            p[1:start] = kept
+    return p[: k + 1]
+
+
+def _power_sum_blocks(p: np.ndarray, cf: np.ndarray, first: int) -> None:
+    """Fill p[first:] block by block; len(p) - first is a multiple of BLOCK.
+
+    Within the block j = J..J+BLOCK-1 the recurrence reads
+    C(z) q(z) = r(z) mod z^BLOCK, with q the block's power sums and
+    r_j = -(j c_j + sum_{i<J} p_i c_{j-i}), so q = d r with d = 1/C.
+    When the c_j are large against c_0, r is large against q, and d r
+    loses as many digits to cancellation; one refinement step, q += d (r -
+    C q), gives back the accuracy of the step-by-step recurrence.
+    """
+    rb = cf[BLOCK - 1 :: -1].copy()  # c_t, ..., c_1 is rb[BLOCK-1-t:BLOCK-1]
+    d = np.zeros(BLOCK, dtype=cf.dtype)
+    d[0] = 1.0 / cf[0]
+    for t in range(1, BLOCK):
+        d[t] = -np.dot(d[:t], rb[BLOCK - 1 - t : BLOCK - 1]) / cf[0]
+    for J in range(first, len(p), BLOCK):
+        end = J + BLOCK
+        hist = np.convolve(cf[1 : end - 1], p[1:J], mode="valid")
+        r = -(np.arange(J, end) * cf[J:end] + hist)
+        q = np.convolve(d, r)[:BLOCK]
+        p[J:end] = q + np.convolve(d, r - np.convolve(cf[:BLOCK], q)[:BLOCK])[:BLOCK]
 
 
 def coeffs_from_power_sums(p, k: int) -> np.ndarray:

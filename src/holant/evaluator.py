@@ -21,7 +21,8 @@ A rung with a root preimage strictly inside the disk is doomed.  When a
 transform's candidates are all doomed its ladder holds only the smallest
 of them, as a best-effort record; for the constructive transform that
 ladder runs last, after the margin search, and only when no ladder was
-accepted.
+accepted.  A doomed ladder's record is never converged, even where its
+stop test fires.
 """
 
 from __future__ import annotations
@@ -163,7 +164,9 @@ def compose_prefix(c, phi, k: int) -> np.ndarray:
     inputs.  ``phi`` may be a PhiMap or a plain coefficient sequence.
     Horner's scheme, each product truncated to order k and taken by FFT at
     the smallest power-of-two length that holds a full product of two
-    order-k series (real transforms unless P is complex).
+    order-k series (real transforms unless P is complex).  Horner starts
+    at the last nonzero coefficient of order <= k: the trailing zeros
+    would only multiply 0 by phi.
     """
     phic = phi.prefix(k) if isinstance(phi, PhiMap) else np.asarray(phi, dtype=float)[: k + 1]
     if len(phic) < k + 1:
@@ -173,10 +176,11 @@ def compose_prefix(c, phi, k: int) -> np.ndarray:
     cv = np.asarray([complex(x) for x in c], dtype=complex)
     if np.all(cv.imag == 0):
         cv = cv.real
-    cv = cv[: k + 1]
     out = np.zeros(k + 1, dtype=cv.dtype)
-    if len(cv) == 0:
+    nonzero = np.flatnonzero(cv[: k + 1])
+    if len(nonzero) == 0:
         return out
+    cv = cv[: nonzero[-1] + 1]
     n = 1 << (2 * k).bit_length()
     fft = np.fft  # looked up here: numpy loads its fft module on first use
     if cv.dtype.kind == "c":
@@ -301,7 +305,8 @@ class _Attempt:
     def run_ladder(self, eps: float, k0: int):
         """(self, T, phi, k, sound, accepted_flag) for the first stabilized
         rung, else for the most stable attempt seen; None when every rung
-        overflowed at once."""
+        overflowed at once.  A doomed ladder's stop is never an acceptance:
+        its series diverges, however settled its first terms look."""
         fallback = None
         for dp, sound in self.rungs:
             phi = build_phi(dp)
@@ -312,7 +317,7 @@ class _Attempt:
                 T, p = _series_estimates(self.c, phi, k, p)
                 j = _scan_stop(np.real(T), eps, floor)
                 if j is not None:
-                    return self, T, phi, j, sound, True
+                    return self, T, phi, j, sound, not self.doomed
                 # best-effort record: the longest representable prefix
                 finite = np.isfinite(np.real(T)) & (np.abs(np.real(T)) < 700.0)
                 jfin = int(np.argmin(finite)) if not finite.all() else k
@@ -349,8 +354,9 @@ def approximate_Z(
     that holds only a doomed rung (a root preimage strictly inside the
     unit disk) is not run first: the margin search goes ahead, and the
     doomed rung runs last, as a best-effort record, only when no attempt
-    was accepted.  An unaccepted constructive record still wins over an
-    unaccepted margin-search one.
+    was accepted; that record is unconverged even if its stop test fires.
+    An unaccepted constructive record still wins over an unaccepted
+    margin-search one.
     """
     if not (0.0 < eps < 1.0):
         raise ArgumentError("eps must lie in (0, 1)")

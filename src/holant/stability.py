@@ -107,13 +107,24 @@ def polished_roots(c: np.ndarray) -> np.ndarray:
 
 
 def _companion_roots(c: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the companion matrices numpy.roots builds, one per row."""
+    """Eigenvalues of the companion matrices numpy.roots builds, one per row,
+    as a complex array.
+
+    Like numpy.roots on real input, a row whose imaginary part is all zero
+    gets a real companion matrix, whose real LAPACK call is cheaper; the
+    other rows get complex ones.  Which kind a row gets depends on the row
+    alone, so it gives the same bits whatever batch it is in.
+    """
     n = c.shape[1] - 1
-    desc = c[:, ::-1]
-    comp = np.zeros((len(c), n, n), dtype=c.dtype)
-    comp[:, 0, :] = -desc[:, 1:] / desc[:, :1]
-    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-    return np.linalg.eigvals(comp)
+    real = ~np.any(np.imag(c) != 0, axis=1)
+    roots = np.empty((len(c), n), dtype=complex)
+    for rows, desc in ((real, np.real(c[real, ::-1])), (~real, c[~real, ::-1])):
+        if len(desc):
+            comp = np.zeros((len(desc), n, n), dtype=desc.dtype)
+            comp[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+            comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+            roots[rows] = np.linalg.eigvals(comp)
+    return roots
 
 
 def _polish(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -145,14 +156,6 @@ def stable_margins(roots: np.ndarray) -> np.ndarray:
     has Re r >= REJECT_RE."""
     stable = ~np.any(roots.real >= REJECT_RE, axis=1)
     return np.where(stable, np.min(-roots.real, axis=1), -math.inf)
-
-
-def balanced_residual(p: Poly, r: complex) -> float:
-    """|p(r)|, measured through the reversed polynomial when |r| > 1."""
-    c = p.as_array()[: p.degree + 1]
-    if abs(r) <= 1.0:
-        return abs(np.polyval(c[::-1], r))
-    return abs(np.polyval(c, 1.0 / r))
 
 
 def h_eps_stability(p: Poly):

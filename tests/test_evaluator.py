@@ -267,3 +267,54 @@ def test_rung_verdicts_in_the_report():
     assert certified[1:] == ["sound", None]
     assert certified[0] == res.delta_certified / 2.0
     assert all(v == "sound" and c >= 1.02 for _, v, c in verdicts["margin-search"][1:])
+
+
+def test_a_doomed_rung_that_stops_is_still_unconverged(monkeypatch, tmp_path, capsys):
+    # the stop test fires on the doomed rung: the record it gives is kept,
+    # but it is not an acceptance, and the CLI exits 6
+    import json
+
+    import holant.evaluator as ev
+    from holant.cli import EXIT_UNCONVERGED, main
+    from holant.formats import dump_graph
+
+    monkeypatch.setattr(ev, "_margin_search", lambda f: None)
+    monkeypatch.setattr(ev, "_scan_stop", lambda T, eps, floor: 3)
+    res = approximate_Z(complete(4), signature([1, 2, 3, 4]), 0.05)
+    assert not res.converged
+    assert res.k_used == 3
+    assert res.diagnostics["transform_source"] == "constructive"
+    assert {v for _, v, _ in res.diagnostics["rung_verdicts"]["constructive"]} == {"doomed"}
+    sig, graph = tmp_path / "f.sig", tmp_path / "k4.graph"
+    sig.write_text("sig d=3 [1,2,3,4]\n")
+    graph.write_text(dump_graph(complete(4)))
+    assert main(["approx", str(sig), str(graph), "--eps", "0.05"]) == EXIT_UNCONVERGED
+    assert json.loads(capsys.readouterr().out)["outcome"]["converged"] is False
+
+
+# The fixed-graph instances of the benchmark's approx-ladder workload, with
+# the stop index, transform, rung (delta = twice the phi parameter) and
+# estimate that the step-by-step Newton recurrence gave: a kernel that
+# changes the arithmetic must not move a stop.
+_PETERSEN = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 7), (6, 8), (7, 9), (8, 5), (9, 6),
+             (0, 5), (1, 6), (2, 7), (3, 8), (4, 9))
+STOP_GUARD = [
+    ("K4", [1, 2, 3, 4], 0.05, 262, "margin-search", 0.45, 3106.676417363495),
+    ("K4", [1, 2, 1, 1], 0.01, 608, "margin-search", 0.45, 238.99150129781742),
+    ("K5", [1, 2, 3, 4, 5], 0.01, 326, "margin-search", 0.45, 320760.6648147698),
+    ("K5", [1, 1, 0, 0, 0], 0.05, 2216, "constructive", 0.31, 25.965974864224556),
+    ("petersen", [3, 1, 1, 1], 0.05, 3776, "margin-search", 0.31, 717502.6931226695),
+]
+
+
+@pytest.mark.parametrize("name, vals, eps, k_used, source, delta, estimate", STOP_GUARD)
+def test_stop_index_guard(name, vals, eps, k_used, source, delta, estimate):
+    from holant.graphs import Multigraph
+
+    g = Multigraph(10, _PETERSEN) if name == "petersen" else complete(int(name[1:]))
+    res = approximate_Z(g, signature(vals), eps)
+    assert res.converged
+    assert res.k_used == k_used
+    assert res.diagnostics["transform_source"] == source
+    assert res.delta == delta
+    assert abs(res.estimate / estimate - 1) <= 1e-9

@@ -8,10 +8,51 @@ import numpy as np
 import pytest
 
 import holant.evaluator as ev
-from holant.coeffs import PowerSums, power_sums_from_coeffs
+from holant.coeffs import BLOCK, PowerSums, power_sums_from_coeffs
 from holant.signatures import local_polynomial, reverse, signature
 from holant.stability import Poly, find_roots, h_eps_stability
 from holant.transform import apply_holographic, rotation_from_w, rotation_margins
+
+
+def stepwise_power_sums(c, total_degree, k):
+    """Newton's recurrence one term at a time, as the package ran it before
+    solving it in blocks: p_j = -(j c_j + sum_{i=1}^{j-1} p_i c_{j-i}) / c_0."""
+    c = np.asarray(c)
+    if c.dtype.kind == "c" and not c.imag.any():
+        c = c.real
+    dtype = np.result_type(c, np.float64)
+    rc = np.zeros(k + 1, dtype=dtype)
+    upto = min(len(c), k + 1)
+    rc[k + 1 - upto :] = c[upto - 1 :: -1]
+    p = np.zeros(k + 1, dtype=dtype)
+    p[0] = total_degree
+    cs = rc.tolist()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(1, k + 1):
+            p[j] = -(j * cs[k - j] + np.dot(p[1:j], rc[k - j + 1 : k])) / cs[k]
+    return p
+
+
+def untrimmed_compose(c, phi, k):
+    """compose_prefix with Horner run over every coefficient of order <= k,
+    trailing zeros included."""
+    phic = phi.prefix(k)
+    cv = np.asarray(c)
+    if cv.dtype.kind == "c" and not cv.imag.any():
+        cv = cv.real
+    cv = cv[: k + 1]
+    n = 1 << (2 * k).bit_length()
+    if cv.dtype.kind == "c":
+        forward, inverse = np.fft.fft, np.fft.ifft
+    else:
+        forward, inverse = np.fft.rfft, lambda x: np.fft.irfft(x, n)
+    phi_hat = forward(phic, n)
+    out = np.zeros(k + 1, dtype=cv.dtype)
+    out[0] = cv[-1]
+    for coef in cv[-2::-1]:
+        out = inverse(forward(out, n) * phi_hat)[: k + 1]
+        out[0] += coef
+    return out
 
 
 def direct_compose(c, phic, k):
@@ -43,8 +84,9 @@ def scalar_margin_search(f):
 
 def numpy_roots_polished(c):
     """numpy.roots plus one Newton polish per root (at 1/r on the reversed
-    polynomial when |r| > 1), one root set at a time."""
-    roots = np.roots(c[::-1]).astype(complex)
+    polynomial when |r| > 1), one root set at a time.  numpy.roots gets
+    real input when the imaginary part is all zero."""
+    roots = np.roots(c[::-1] if np.any(c.imag) else c[::-1].real).astype(complex)
 
     def polish(cs, pts):
         dc = cs[1:] * np.arange(1, len(cs))
@@ -83,6 +125,59 @@ def test_fft_composition_matches_direct_horner(dp, complex_entries):
         # FFT rounding is absolute, on the scale of sum |c_i| (phi's
         # coefficients are positive and sum to 1)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(c))
+
+
+def _composed(seed, complex_entries, k, dp=0.155):
+    """The first k+1 coefficients of P composed with phi, as the evaluator
+    feeds them to the recurrence.  P is random of degree m with c_0 = 1 and
+    its roots in the left half-plane, at least 0.6 from 0, like a
+    stable P_G: clear of phi's strip, so the series converges.  Real P
+    pairs its complex roots."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(4, 25))
+    roots = rng.uniform(0.6, 3.0, m) * np.exp(1j * rng.uniform(math.pi / 2 + 0.1, math.pi, m))
+    if not complex_entries:
+        roots = np.concatenate([roots[: m // 2], roots[: m // 2].conj(), -np.abs(roots[m // 2 * 2 :])])
+    c = np.polynomial.polynomial.polyfromroots(roots)
+    c = c / c[0]
+    return ev.compose_prefix(c if complex_entries else c.real, ev.build_phi(dp), k), m
+
+
+@pytest.mark.parametrize("k", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7, ev.K_GUARD])
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_blocked_power_sums_match_the_stepwise_recurrence(k, complex_entries):
+    comp, m = _composed(k + complex_entries, complex_entries, k)
+    got = power_sums_from_coeffs(comp, m, k)
+    want = stepwise_power_sums(comp, m, k)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # the first BLOCK terms are the step-by-step loop itself
+    assert np.array_equal(got[: BLOCK + 1], want[: BLOCK + 1])
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_resumed_blocks_give_the_bits_of_a_fresh_run(complex_entries):
+    comp, m = _composed(7, complex_entries, 3 * BLOCK + 50)
+    fresh = power_sums_from_coeffs(comp, m)
+    for start in (BLOCK // 2, BLOCK + 1, BLOCK + 40, 2 * BLOCK, 3 * BLOCK + 1, len(comp)):
+        # a shorter call ends inside a block; the resume recomputes that block
+        head = power_sums_from_coeffs(comp, m, start - 1)
+        assert np.array_equal(head, fresh[:start])
+        assert np.array_equal(power_sums_from_coeffs(comp, m, prefix=head), fresh)
+        assert np.array_equal(power_sums_from_coeffs(comp, m, prefix=fresh[:start]), fresh)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_horner_over_the_true_degree_changes_no_bit(complex_entries):
+    rng = np.random.default_rng(21 + complex_entries)
+    phi = ev.build_phi(0.185)
+    for top, k in ((3, 18), (6, 18), (0, 9), (12, 40), (5, 3)):
+        c = np.zeros(19, dtype=complex if complex_entries else float)
+        c[: top + 1] = _random_poly(rng, top, complex_entries)
+        got = ev.compose_prefix(c, phi, k)
+        want = untrimmed_compose(c, phi, k)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert ev.compose_prefix(np.zeros(5), phi, 4).tobytes() == np.zeros(5).tobytes()
 
 
 def test_resumed_power_sums_continue_a_fresh_run():

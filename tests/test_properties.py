@@ -1,16 +1,19 @@
 """Invariants of the exact engine on generated multigraphs of up to 60
 edges, with self-loops and parallel edges: well past the old edge limits,
-with only the contraction plan guarding the work."""
+with only the contraction plan guarding the work.  And the Newton round
+trip between coefficients and inverse power sums."""
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holant.coeffs import BLOCK, coeffs_from_power_sums, power_sums_from_coeffs
 from holant.graphs import Multigraph, brute_force_coeffs, brute_force_Z, disjoint_union
 from holant.signatures import SymmetricSignature, reverse
 
@@ -101,3 +104,34 @@ def test_Z_is_invariant_under_orthogonal_transforms_and_reversal(inst, t, reflec
     z = brute_force_Z(g, sigs)
     assert brute_force_Z(g, [exact_orthogonal(s, t, reflect) for s in sigs]) == z
     assert brute_force_Z(g, [reverse(s) for s in sigs]) == z
+
+
+@st.composite
+def polynomials(draw):
+    """(c, roots): c_0 * prod (1 - z/r) for up to 8 roots with
+    1.5 <= |r| <= 6, real (conjugate roots paired) or complex."""
+    real = draw(st.booleans())
+    polar = draw(st.lists(st.tuples(st.floats(1.5, 6.0), st.floats(-math.pi, math.pi)), max_size=8))
+    roots = [m * complex(math.cos(a), math.sin(a)) for m, a in polar]
+    if real:
+        roots = roots[:4] + [r.conjugate() for r in roots[:4]]
+    c = np.polynomial.polynomial.polyfromroots(roots) if roots else np.ones(1)
+    if real:
+        c = c.real
+    c0 = draw(st.sampled_from([1.0, -0.5, 3.0] if real else [1.0, 0.25 + 2j]))
+    return c / c[0] * c0, roots
+
+
+@PROFILE
+@given(polynomials(), st.integers(0, 3 * BLOCK))
+def test_newton_round_trip(poly, k):
+    c, roots = poly
+    got = coeffs_from_power_sums(power_sums_from_coeffs(c, len(roots), k), k)
+    want = np.zeros(k + 1, dtype=complex)
+    n = min(len(c), k + 1)
+    want[:n] = c[:n] / c[0]
+    # compared as the coefficients of c(rho z) / c_0, rho the smallest root
+    # modulus: they are at most 2^8, while the terms themselves fall like
+    # rho^-j and would hide any error past the first few dozen
+    rho = min((abs(r) for r in roots), default=1.0)
+    assert np.max(np.abs(got - want) * rho ** np.arange(k + 1)) <= 1e-12 * 2**8
