@@ -5,7 +5,10 @@ and seeds; pass --timing to include wall time) or, with --quiet, just the
 scalar outcome.  Exit codes: 0 success, 1 bad input, 2 guard refusal,
 3 ferromagnetic-Ising label, 4 perfect-matching-equivalent label,
 5 open sine-profile label, 6 approximation not converged (the report is
-still printed, with ``converged: false``).
+still printed, with ``converged: false``).  An outcome that is not finite
+in double precision (say, Z past 1.8e308) is refused with exit 2: nothing
+on stdout and a JSON refusal on stderr.  ``approx`` reports
+``log_estimate``, the natural log of |estimate|, which stays finite there.
 """
 
 from __future__ import annotations
@@ -76,9 +79,9 @@ def _read(path: str) -> str:
 
 
 def _report(args, inputs: dict, outcome: dict, started: float, quiet_value=None) -> None:
-    if args.quiet and quiet_value is not None:
-        print(quiet_value)
-        return
+    """Print the report, or its scalar under --quiet; an outcome that holds
+    an infinity or a NaN is refused with GuardExceeded, before anything is
+    printed."""
     doc = {
         "command": args.command,
         "inputs": {k: _digest(v) for k, v in inputs.items()},
@@ -86,7 +89,11 @@ def _report(args, inputs: dict, outcome: dict, started: float, quiet_value=None)
     }
     if args.timing:
         doc["wall_ms"] = round(1000.0 * (time.perf_counter() - started), 3)
-    print(json.dumps(doc, sort_keys=True))
+    try:
+        text = json.dumps(doc, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise GuardExceeded("the outcome is not finite in double precision") from None
+    print(quiet_value if args.quiet and quiet_value is not None else text)
 
 
 def _load_graph(args):

@@ -210,6 +210,7 @@ class ApproxResult:
     """Outcome of approximate_Z with its certificates and diagnostics."""
 
     estimate: float
+    log_estimate: float  # n log|g0| + Re T_k, the log of |estimate|
     k_used: int
     eps_requested: float
     eps_certificate: float
@@ -391,12 +392,17 @@ def approximate_Z(
     if abs(t_final.imag) > IMAG_TOL:
         raise HolantError(f"imaginary residue {t_final.imag:.2e} in the log series")
 
-    scale_pow = attempt.g0**g.n
+    # log |Z| stays finite where g0**n or the estimate overflows
+    log_estimate = g.n * math.log(abs(attempt.g0)) + t_final.real
+    try:
+        scale_pow = attempt.g0**g.n
+    except OverflowError:
+        scale_pow = math.inf
     try:
         estimate = scale_pow * math.exp(t_final.real)
     except OverflowError:
         estimate = math.inf
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         estimates = (scale_pow * np.exp(np.real(T[:k_used]))).tolist()
     diagnostics = {
         "estimates": estimates,
@@ -411,6 +417,7 @@ def approximate_Z(
     }
     return ApproxResult(
         estimate=float(estimate),
+        log_estimate=float(log_estimate),
         k_used=int(k_used),
         eps_requested=float(eps),
         eps_certificate=float(attempt.cert.eps),
@@ -437,12 +444,19 @@ def _margin_search(f: SymmetricSignature):
     larger margin is needed to open up a usable rung.  ``rotation_margins``
     ranks each stage's candidates; the certificate comes from
     ``h_eps_stability``.  Should it reject the winner, the other ranked
-    candidates are tried in decreasing margin order.
+    candidates are tried in decreasing margin order.  A stage costs one
+    root solve: ``rotation_margins`` moves f's own roots by each
+    candidate's Moebius map.
 
-    Near its optimum a margin is accurate to about 1e-8, so a candidate
-    replaces the best only when it beats it by more than that.  Ties thus
-    go to the first candidate in sweep order: by angle, then delta0 before
-    delta1, then f before its reversal.
+    (w, delta0, reversal) and (-w, delta1, f) are the same transform: the
+    reversal swaps the two variables of f's binary form, and that swap
+    turns the rows of delta0(w) into delta1(-w).  The sweep's angles are
+    symmetric about 0, so its candidates come in mirrored pairs whose
+    margins differ only by the rounding of the angles.  Near its optimum
+    a margin is accurate to about 1e-8, so a candidate replaces the best
+    only when it beats it by more than that.  Ties thus go to the first
+    candidate in sweep order: by angle, then delta0 before delta1, then f
+    before its reversal.
     """
     best = None  # (margin, theta, convention, use_reversal)
     ranked = []

@@ -167,6 +167,7 @@ def outcome_to_json(out: ClassificationOutcome) -> dict:
 def approx_to_json(res: ApproxResult) -> dict:
     return {
         "estimate": res.estimate,
+        "log_estimate": res.log_estimate,
         "k_used": res.k_used,
         "eps_requested": res.eps_requested,
         "eps_certificate": res.eps_certificate,

@@ -280,7 +280,9 @@ def _contraction(g: Multigraph, sigs, strata: int) -> np.ndarray:
         raise GuardExceeded(
             f"the contraction plan needs a state of {peak:,} entries, above the cap of {ENTRY_CAP:,}"
         )
-    return _contract(g, sigs, order, live, strata)
+    # float entries past 1.8e308 give inf, which the CLI refuses as non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _contract(g, sigs, order, live, strata)
 
 
 def brute_force_coeffs(g: Multigraph, assign):

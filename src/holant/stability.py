@@ -82,49 +82,33 @@ def find_roots(p: Poly) -> np.ndarray:
     max |p(r)| <= 1e-8 * max |c_j|, with |p| measured through the reversed
     polynomial for roots outside the unit circle (a direct evaluation there
     drowns in cancellation noise of order |r|^deg * ulp whatever the root
-    quality).  This is ``polished_roots`` on a batch of one row.
+    quality).
     """
     deg = p.degree
     if deg < 1:
         raise ArgumentError("root finding needs degree >= 1")
-    c = p.as_array()[None, : deg + 1]
-    zeros = int(np.flatnonzero(c[0])[0])
-    roots = np.zeros((1, deg), dtype=complex)
+    c = p.as_array()[: deg + 1]
+    zeros = int(np.flatnonzero(c)[0])
+    roots = np.zeros(deg, dtype=complex)
     if zeros < deg:
-        roots[:, : deg - zeros] = _companion_roots(c[:, zeros:])
-    return _polish(c, roots)[0]
-
-
-def polished_roots(c: np.ndarray) -> np.ndarray:
-    """``find_roots`` on a batch: row i holds the roots of the ascending
-    coefficient row c[i] (N, n+1), n >= 1, whose first and last entries
-    must be nonzero.
-
-    Elementwise arithmetic and one eigenvalue call per companion matrix,
-    so a row gives the same bits whatever batch it is in.
-    """
-    return _polish(c, _companion_roots(c))
+        roots[: deg - zeros] = _companion_roots(c[zeros:])
+    return _polish(c, roots)
 
 
 def _companion_roots(c: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the companion matrices numpy.roots builds, one per row,
-    as a complex array.
+    """Eigenvalues of the companion matrix numpy.roots builds for the
+    ascending coefficients c, whose first and last entries are nonzero.
 
-    Like numpy.roots on real input, a row whose imaginary part is all zero
-    gets a real companion matrix, whose real LAPACK call is cheaper; the
-    other rows get complex ones.  Which kind a row gets depends on the row
-    alone, so it gives the same bits whatever batch it is in.
+    Like numpy.roots on real input, coefficients whose imaginary part is
+    all zero get a real companion matrix, whose real LAPACK call is
+    cheaper.
     """
-    n = c.shape[1] - 1
-    real = ~np.any(np.imag(c) != 0, axis=1)
-    roots = np.empty((len(c), n), dtype=complex)
-    for rows, desc in ((real, np.real(c[real, ::-1])), (~real, c[~real, ::-1])):
-        if len(desc):
-            comp = np.zeros((len(desc), n, n), dtype=desc.dtype)
-            comp[:, 0, :] = -desc[:, 1:] / desc[:, :1]
-            comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-            roots[rows] = np.linalg.eigvals(comp)
-    return roots
+    n = len(c) - 1
+    desc = c[::-1] if np.any(np.imag(c) != 0) else np.real(c[::-1])
+    comp = np.zeros((n, n), dtype=desc.dtype)
+    comp[0, :] = -desc[1:] / desc[:1]
+    comp[np.arange(1, n), np.arange(n - 1)] = 1.0
+    return np.linalg.eigvals(comp)
 
 
 def _polish(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -132,22 +116,22 @@ def _polish(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
     polynomial at 1/r."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         near = _newton(c, roots)
-        far = 1.0 / _newton(c[:, ::-1], 1.0 / roots)
+        far = 1.0 / _newton(c[::-1], 1.0 / roots)
     return np.where(np.abs(roots) <= 1.0, near, far)
 
 
 def _newton(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    dc = c[:, 1:] * np.arange(1, c.shape[1])
+    dc = c[1:] * np.arange(1, len(c))
     pv, dv = _polyval(c, z), _polyval(dc, z)
     ok = np.abs(dv) > 1e-300
     return np.where(ok, z - pv / np.where(ok, dv, 1.0), z)
 
 
 def _polyval(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Horner values of the coefficient rows c (N, n+1) at the points z (N, r)."""
+    """Horner values of the ascending coefficients c at the points z."""
     y = np.zeros_like(z)
-    for i in range(c.shape[1] - 1, -1, -1):
-        y = y * z + c[:, i : i + 1]
+    for coef in c[::-1]:
+        y = y * z + coef
     return y
 
 

@@ -23,7 +23,7 @@ from .signatures import (
     reverse,
     tensor_decompose,
 )
-from .stability import StabilityCertificate, h_eps_stability, polished_roots, stable_margins
+from .stability import StabilityCertificate, find_roots, h_eps_stability, stable_margins
 
 ORTHO_TOL = 1e-10
 # relative tolerance for the structural equalities of the case analysis and
@@ -127,12 +127,10 @@ def apply_holographic(f: SymmetricSignature, M: Matrix2) -> SymmetricSignature:
 
 
 def _holographic_rows(vals, a0, a1, b0, b1) -> np.ndarray:
-    """``apply_holographic`` on a batch: row i of vals (N, d+1) under the
-    matrix whose entries are row i of the (N, 1) columns a0, a1, b0, b1.
-
-    Elementwise arithmetic only, so one row gives the same bits whatever
-    batch it is in.
-    """
+    """The arithmetic of ``apply_holographic``: row i of vals (N, d+1)
+    under the matrix whose entries are row i of the (N, 1) columns a0, a1,
+    b0, b1.  Every certificate comes from these bits, so they stay as
+    they are."""
     d = vals.shape[1] - 1
     acc = np.zeros(vals.shape, dtype=complex)
     for k in range(d + 1):
@@ -199,46 +197,59 @@ def rotation_from_w(w: float, convention: str = "delta0") -> Matrix2:
     raise ArgumentError(f"unknown convention {convention!r}")
 
 
+def rotation_roots(f: SymmetricSignature, candidates) -> np.ndarray:
+    """Roots of the local polynomials of f under a batch of real rotations.
+
+    ``candidates`` is a sequence of (w, convention, use_reversal).  Row i
+    holds the d roots of ``local_polynomial(apply_holographic(target,
+    rotation_from_w(w, conv)))``, target = f or its reversal.
+
+    No transformed polynomial is built.  The transform substitutes M (u, v)
+    for the variables of f's binary form F(u, v) = sum_k C(d,k) f_k
+    u^(d-k) v^k, whose local polynomial is F(1, z); so it moves each zero
+    of F by adj(M).  A root t is the zero (1, t) and goes to
+    z = (t m00 - m10) / (m11 - t m01); each degree the local polynomial
+    lacks is a zero (0, 1) and goes to -m00/m01; the reversal swaps u and
+    v.  One ``find_roots`` call thus serves every row.  A zero sent to
+    infinity is a degree the transformed polynomial loses, given as -inf,
+    which no half-plane test counts.  For f = 0 the rows are 0.
+    """
+    cands = list(candidates)
+    if not cands:
+        return np.zeros((0, f.arity), dtype=complex)
+    ws, convs, revs = zip(*cands)
+    ws = np.array(ws, dtype=float)
+    if not np.all(np.isfinite(ws)) or not set(convs) <= {"delta0", "delta1"}:
+        raise ArgumentError("rotations need a finite w and the convention delta0 or delta1")
+    poly = local_polynomial(f)
+    deg = poly.degree
+    if deg < 0:
+        return np.zeros((len(cands), f.arity), dtype=complex)
+    # the zeros (u, v) of F: (1, t) for each root t, (0, 1) for each missing degree
+    missing = f.arity - deg
+    u = np.concatenate([np.ones(deg), np.zeros(missing)])
+    v = np.concatenate([find_roots(poly) if deg else [], np.ones(missing)])
+    rev = np.array(revs, dtype=bool)[:, None]
+    u, v = np.where(rev, v, u), np.where(rev, u, v)
+    # entries of rotation_from_w, one row per candidate
+    flip = (np.array(convs) == "delta1")[:, None]
+    r = 1.0 / np.sqrt(1.0 + ws * ws)[:, None]
+    wr = ws[:, None] * r
+    m00, m01, m10, m11 = (np.where(flip, x, y) for x, y in ((wr, r), (r, wr), (r, -wr), (-wr, r)))
+    den = m11 * u - m01 * v
+    at_inf = den == 0
+    return np.where(at_inf, -math.inf, (m00 * v - m10 * u) / np.where(at_inf, 1.0, den))
+
+
 def rotation_margins(f: SymmetricSignature, candidates) -> np.ndarray:
     """Stability margins of f under a batch of real rotations.
 
-    ``candidates`` is a sequence of (w, convention, use_reversal).  Entry i
-    of the result is the margin that ``h_eps_stability`` certifies for
-    ``local_polynomial(apply_holographic(target, rotation_from_w(w, conv)))``
-    (target = f or its reversal), or -inf where it certifies none.  The
-    transformed local polynomials are built as arrays and scored with the
-    row kernel that ``h_eps_stability`` runs on one row, so the margins are
-    the same bits.  A candidate whose leading or constant coefficient
-    vanishes (its degree drops, or 0 is a root) goes through
-    ``h_eps_stability`` itself.
+    Entry i is the margin that ``h_eps_stability`` certifies for the
+    transformed local polynomial of candidate i, or -inf where it
+    certifies none: its margin rule ``stable_margins`` applied to the
+    roots from ``rotation_roots``.
     """
-    cands = list(candidates)
-    out = np.full(len(cands), -math.inf)
-    if not cands:
-        return out
-    ws = np.array([w for w, _, _ in cands], dtype=float)
-    if not np.all(np.isfinite(ws)) or any(conv not in ("delta0", "delta1") for _, conv, _ in cands):
-        raise ArgumentError("rotations need a finite w and the convention delta0 or delta1")
-    flip = np.array([conv == "delta1" for _, conv, _ in cands])
-    rev = np.array([bool(u) for _, _, u in cands])
-    d = f.arity
-    # entries of rotation_from_w, as complex like Matrix2 holds them
-    r = 1.0 / np.sqrt(1.0 + ws * ws)
-    wr = ws * r
-    entries = [np.where(flip, x, y).astype(complex)[:, None] for x, y in ((wr, r), (r, wr), (r, -wr), (-wr, r))]
-    vals = f.as_complex()
-    g = _holographic_rows(np.where(rev[:, None], vals[::-1], vals), *entries)
-    local = np.array([math.comb(d, i) for i in range(d + 1)]) * g  # local_polynomial, row by row
-
-    full = (local[:, 0] != 0) & (local[:, d] != 0)
-    for i in np.flatnonzero(~full):
-        w, conv, use_rev = cands[i]
-        cert = _validate(f, rotation_from_w(w, conv), use_rev)
-        if cert is not None:
-            out[i] = cert.margin
-    if full.any():
-        out[full] = stable_margins(polished_roots(local[full]))
-    return out
+    return stable_margins(rotation_roots(f, candidates))
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import pytest
@@ -267,3 +268,23 @@ def test_roots_csv_format():
     lines = text.strip().splitlines()
     assert lines[0] == "re,im,poly_id"
     assert lines[1].startswith("1.0,2.0,")
+
+
+@pytest.mark.parametrize("command", ["approx", "exact"])
+def test_a_non_finite_outcome_is_refused(capsys, files, tmp_path, command):
+    # Z is about 1e520: g0**n overflows in approx, the float contraction in exact
+    sig = tmp_path / "huge.sig"
+    sig.write_text("sig d=3 [1e20,1e20,0,0]\n")
+    graph = str(tmp_path / "g26.graph")
+    run(capsys, "gen", "--kind", "random", "--n", "26", "--d", "3", "--seed", "1", "-o", graph)
+    for quiet in ([], ["--quiet"]):
+        code, out, err = run(capsys, *quiet, command, str(sig), graph)
+        assert code == 2 and out == ""
+        assert "not finite" in json.loads(err)["refusal"]
+
+
+def test_approx_reports_log_estimate(capsys, files):
+    code, out, _ = run(capsys, "approx", files["matchings"], files["k4"])
+    assert code == 0
+    doc = json.loads(out)["outcome"]
+    assert doc["log_estimate"] == pytest.approx(math.log(doc["estimate"]), rel=1e-12)

@@ -149,6 +149,16 @@ def test_estimate_matches_invariant():
     assert res.estimate == res.diagnostics["estimates"][-1]
 
 
+def test_log_estimate_stays_finite_where_the_estimate_overflows():
+    g = random_regular(20, 3, seed=1)
+    res = approximate_Z(g, signature([1e20, 1e20, 0, 0]), 0.05)
+    assert res.converged and res.estimate == math.inf
+    truth = brute_force_Z(g, signature([10**20, 10**20, 0, 0]))  # exact, 113532e400
+    assert truth.denominator == 1 and abs(res.log_estimate - math.log(truth.numerator)) <= 0.05
+    small = approximate_Z(complete(4), signature([1, 1, 0, 0]), 0.05)
+    assert small.log_estimate == pytest.approx(math.log(small.estimate), rel=1e-12)
+
+
 def test_eps_domain():
     with pytest.raises(ArgumentError):
         approximate_Z(complete(4), signature([1, 1, 0, 0]), 1.5)

@@ -1,5 +1,6 @@
 """The evaluator's series kernels and the batched margin sweep against
-direct reference implementations kept here."""
+direct reference implementations kept here, and the sweep's margins
+against 50-digit roots."""
 
 import math
 import warnings
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 import holant.evaluator as ev
+from holant import stability
 from holant.coeffs import BLOCK, PowerSums, power_sums_from_coeffs
 from holant.signatures import local_polynomial, reverse, signature
-from holant.stability import Poly, find_roots, h_eps_stability
+from holant.stability import REJECT_RE, Poly, find_roots, h_eps_stability
 from holant.transform import apply_holographic, rotation_from_w, rotation_margins
 
 
@@ -219,6 +221,7 @@ def _margin_signatures():
 def test_batched_margins_match_h_eps_stability():
     rng = np.random.default_rng(12)
     dropped = 0
+    worst = 0.0
     for vals in _margin_signatures():
         f = signature(vals)
         ws = [0.0, 1.0, -1.0] + rng.uniform(-6, 6, 12).tolist()
@@ -228,9 +231,12 @@ def test_batched_margins_match_h_eps_stability():
             poly = local_polynomial(apply_holographic(reverse(f) if use_rev else f, rotation_from_w(w, conv)))
             dropped += poly.coeffs[-1] == 0 or poly.coeffs[0] == 0
             cert = h_eps_stability(poly)
-            # one row kernel serves both: the same bits, not just within 1e-9
-            assert margin == (-math.inf if cert is None else cert.margin)
-    assert dropped > 0  # the scalar route for degree drops was exercised
+            # the same verdict; the margins are two roundings of one number
+            assert (margin == -math.inf) == (cert is None)
+            if cert is not None:
+                worst = max(worst, abs(margin - cert.margin))
+    assert dropped > 0  # degree drops and roots at 0 were exercised
+    assert worst <= 1e-12
 
 
 def test_find_roots_matches_numpy_roots_with_the_same_polish():
@@ -252,13 +258,77 @@ def test_find_roots_keeps_split_off_zero_roots_complex():
 
 
 def test_batched_margins_on_a_degree_drop():
-    # at w = 0, delta0 is the identity: the local polynomial 1 + 4z of
-    # [1,1,0,0,0] has degree 1 and its root -1/4
+    # the local polynomial 1 + 4z of [1,1,0,0,0] has the root -1/4 and
+    # lacks three units of degree: three zeros of the binary form at infinity
     f = signature([1, 1, 0, 0, 0])
     got = rotation_margins(f, [(0.0, "delta0", False), (0.0, "delta1", False), (0.1, "delta0", False)])
-    assert got[0] == 0.25
-    assert got[1] == -math.inf  # [0,0,0,1,1]: zero is a root
-    assert got[2] == h_eps_stability(local_polynomial(apply_holographic(f, rotation_from_w(0.1)))).margin
+    assert got[0] == 0.25  # the identity: the zeros at infinity stay there
+    assert got[1] == -math.inf  # the swap: [0,0,0,1,1], zero is a root
+    # delta0(0.1) maps t to (t + w) / (1 - t w), and infinity to -1/w
+    w = 0.1
+    images = [(-0.25 + w) / (1 + 0.25 * w), -1 / w]
+    assert got[2] == pytest.approx(min(-z for z in images), abs=1e-15)
+    # f = 0: h_eps_stability certifies no transform of the zero polynomial
+    assert rotation_margins(signature([0, 0, 0]), [(0.3, "delta0", False)]).tolist() == [-math.inf]
+
+
+def mp_margin(vals, M, digits=50):
+    """The margin rule of h_eps_stability on the local polynomial of
+    f . M^(x)d, built from the float entries of M and solved by
+    mpmath.polyroots at the given precision; -inf where the rule rejects."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(digits):
+        d = len(vals) - 1
+        a = [mp.mpf(M.m00.real), mp.mpf(M.m01.real)]  # u -> m00 + m01 z
+        b = [mp.mpf(M.m10.real), mp.mpf(M.m11.real)]  # v -> m10 + m11 z
+        poly = [mp.mpf(0)] * (d + 1)
+        for k in range(d + 1):
+            term = [math.comb(d, k) * mp.mpf(vals[k])]
+            for c0, c1 in [a] * (d - k) + [b] * k:
+                term = [c0 * x + c1 * y for x, y in zip(term + [0], [0] + term)]
+            poly = [x + y for x, y in zip(poly, term)]
+        while poly[-1] == 0:
+            poly.pop()
+        if len(poly) == 1:
+            return math.inf
+        # a multiple root needs the extra precision to converge
+        re = [mp.re(r) for r in mp.polyroots(poly[::-1], maxsteps=300, extraprec=200)]
+        return -math.inf if max(re) >= REJECT_RE else float(min(-x for x in re))
+
+
+@pytest.mark.parametrize("vals", [[1, 1, 0, 0, 0], [1, 1, 0, 0], [3, 1, 1, 1], [1, 2, 1, 1]])
+def test_margins_match_50_digit_roots(vals):
+    # [1,1,0,0,0] and [1,1,0,0] have zeros at infinity, which every rotation
+    # maps to one multiple root; the companion eigenvalues of the
+    # transformed polynomial lose digits there, the mapped roots do not
+    f = signature(vals)
+    ws = [math.tan(th) for th in np.linspace(-1.2, 1.2, 4)] + [0.1]
+    cands = [(w, conv, use_rev) for w in ws for conv in ("delta0", "delta1") for use_rev in (False, True)]
+    stable = 0
+    for (w, conv, use_rev), got in zip(cands, rotation_margins(f, cands)):
+        want = mp_margin(vals[::-1] if use_rev else vals, rotation_from_w(w, conv))
+        assert (got == -math.inf) == (want == -math.inf)
+        if want > -math.inf:
+            stable += 1
+            assert abs(got - want) <= 1e-12
+    assert stable > 0
+
+
+def test_a_margin_search_solves_f_once_per_stage(monkeypatch):
+    # one root solve per stage and one per certificate, not one
+    # eigenproblem per candidate (792 for these two stages)
+    rows = []
+    real = stability._companion_roots
+
+    def counted(c):
+        rows.append(np.atleast_2d(c).shape[0])
+        return real(c)
+
+    monkeypatch.setattr(stability, "_companion_roots", counted)
+    for vals in ([1, 2, 3, 4], [1, 1, 0, 0, 0]):
+        rows.clear()
+        assert ev._margin_search(signature(vals)) is not None
+        assert sum(rows) <= 3
 
 
 @pytest.mark.parametrize("vals", [[3, 1, 1, 1], [1, 2, 3, 4], [1, 2, 1, 1], [1, 2, 3, 4, 5], [1, 1, 0, 0, 0]])

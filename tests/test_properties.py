@@ -1,7 +1,8 @@
 """Invariants of the exact engine on generated multigraphs of up to 60
 edges, with self-loops and parallel edges: well past the old edge limits,
-with only the contraction plan guarding the work.  And the Newton round
-trip between coefficients and inverse power sums."""
+with only the contraction plan guarding the work.  The Newton round trip
+between coefficients and inverse power sums.  And the rotated roots of
+the margin search against the polynomials they stand for."""
 
 import math
 from fractions import Fraction
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from holant.coeffs import BLOCK, coeffs_from_power_sums, power_sums_from_coeffs
 from holant.graphs import Multigraph, brute_force_coeffs, brute_force_Z, disjoint_union
-from holant.signatures import SymmetricSignature, reverse
+from holant.signatures import SymmetricSignature, local_polynomial, reverse
+from holant.transform import apply_holographic, rotation_from_w, rotation_roots
 
 PROFILE = settings(max_examples=20, derandomize=True, deadline=None)
 
@@ -135,3 +137,25 @@ def test_newton_round_trip(poly, k):
     # rho^-j and would hide any error past the first few dozen
     rho = min((abs(r) for r in roots), default=1.0)
     assert np.max(np.abs(got - want) * rho ** np.arange(k + 1)) <= 1e-12 * 2**8
+
+
+@PROFILE
+@given(
+    st.integers(2, 6).flatmap(lambda d: st.lists(st.integers(0, 12), min_size=d + 1, max_size=d + 1)).filter(any),
+    st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+    st.sampled_from(["delta0", "delta1"]),
+    st.booleans(),
+)
+def test_rotated_roots_meet_the_root_contract(quarters, w, conv, use_rev):
+    # non-negative f with zero entries and repeated roots, as the margin
+    # search meets them; the contract is find_roots': |p(r)| <= 1e-8 max|c|,
+    # through the reversed polynomial when |r| > 1
+    f = SymmetricSignature(tuple(q / 4 for q in quarters))
+    roots = rotation_roots(f, [(w, conv, use_rev)])[0]
+    poly = local_polynomial(apply_holographic(reverse(f) if use_rev else f, rotation_from_w(w, conv)))
+    c = poly.as_array()
+    finite = roots[np.isfinite(roots)]
+    assert len(roots) == f.arity and len(finite) <= poly.degree
+    for r in finite:
+        residual = np.polyval(c[::-1], r) if abs(r) <= 1 else np.polyval(c, 1 / r)
+        assert abs(residual) <= 1e-8 * np.max(np.abs(c))
