@@ -1,10 +1,10 @@
 """Truncated-Taylor evaluation of the partition function.
 
 Pipeline: transform the signature so its local polynomial is half-plane
-stable, normalize the leading entry, compute a prefix of the edge-
-generating polynomial P_G, compose with the disk-to-strip map phi, convert
-coefficients to inverse power sums by Newton's identities, and exponentiate
-the truncated Taylor series of log at 1.
+stable, normalize the leading entry, compute the edge-generating
+polynomial P_G exactly, take the Taylor coefficients of log P_G(phi(z))
+for the disk-to-strip map phi by the trapezoidal rule on one circle, and
+exponentiate the truncated series at 1.
 
 The phi parameter is chosen adaptively.  The certified strip half-width
 (eps^2/2 from the stability margin) is typically far too small to be
@@ -34,12 +34,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import STABLE_TRANSFORM, ClassificationOutcome, classify
-from .coeffs import (
+from .coeffs import (  # power_sums_from_coeffs: bench/tracing.py wraps it here by name
     ADDITIVE_K_GUARD,
     additive_power_sums,
     coeffs_from_power_sums,
     naive_low_coeffs,
-    power_sums_from_coeffs,
+    power_sums_from_coeffs,  # noqa: F401
 )
 from .errors import ArgumentError, GuardExceeded, HolantError
 from .graphs import Multigraph
@@ -54,10 +54,10 @@ from .transform import (
     rotation_margins,
 )
 
-# Largest edge count the evaluator takes.  The coefficients of P_G o phi
-# grow to about Z, and the Newton recurrence for the power sums takes
-# differences of such numbers, so at about 84 edges it loses every digit;
-# 40 keeps every run well inside its range.
+# Largest edge count the evaluator takes.  Rung verdicts rest on the
+# roots of P_G, which the companion matrix resolves only to about 60 edges
+# (log sum c from those roots is off by 0.035 at 84 edges and 0.09 at
+# 105, and verdicts move); 40 keeps every run well inside that range.
 EDGE_LIMIT = 40
 
 # phi coefficient vectors are materialized up to this order; beyond it the
@@ -73,7 +73,6 @@ FLOOR_C = 1.5
 # unit disk by this factor
 ROOT_CLEARANCE = 1.02
 
-IMAG_TOL = 1e-6
 # margins closer than this are ties in the margin search
 MARGIN_TIE = 1e-8
 
@@ -160,8 +159,10 @@ def build_phi(delta: float) -> PhiMap:
 def compose_prefix(c, phi, k: int) -> np.ndarray:
     """First k+1 coefficients of P(phi(z)) from the first k+1 of P.
 
-    Valid because phi(0) = 0, so order-k output depends only on order-k
-    inputs.  ``phi`` may be a PhiMap or a plain coefficient sequence.
+    The public reference composition; the evaluator itself samples on a
+    circle and never composes.  Valid because phi(0) = 0, so order-k
+    output depends only on order-k inputs.  ``phi`` may be a PhiMap or a
+    plain coefficient sequence.
     Horner's scheme, each product truncated to order k and taken by FFT at
     the smallest power-of-two length that holds a full product of two
     order-k series (real transforms unless P is complex).  Horner starts
@@ -243,20 +244,68 @@ def _root_clearance(roots: np.ndarray, dp: float, alpha: float) -> float:
     return float(np.min(mags)) if len(mags) else math.inf
 
 
-def _series_estimates(c, phi: PhiMap, k: int, prefix=None):
-    """(T, p): T_j for j = 1..k of log(P composed with phi) at 1, and the
-    power sums they come from.
+def _series_estimates(c, phi: PhiMap, k: int) -> np.ndarray:
+    """T_j for j = 1..k of log(P composed with phi) at 1, P real, by the
+    trapezoidal rule on one circle.
 
-    ``prefix`` holds power sums of an earlier, shorter run on the same phi;
-    they are kept, so T_1..T_i repeat that run's values exactly.  A rung
-    whose series diverges overflows along the way; the resulting non-finite
-    entries are rejected by the stop scan, so the noise is silenced here
-    rather than surfaced.
+    The samples of z F'(z) = P'(phi) z phi' / P(phi), F = log P(phi(z)),
+    at N = 2 * 2^ceil(log2(k+1)) points of |z| = rho = 1 - 11/k have the
+    inverse FFT g with g_j = j F_j rho^j; aliasing is of order rho^N, at
+    most e^-22.  g_0 is the number of zeros of P(phi(z)) inside the
+    circle (the argument principle).  Where it is not 0 the samples are
+    no Taylor coefficients, and rho is halved until it is: the true
+    series of a diverging rung then overflows, and the stop scan rejects
+    non-finite entries, so that noise is silenced here.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        comp = compose_prefix(c, phi, k)
-        p = power_sums_from_coeffs(comp, k, k, prefix=prefix)
-        return -np.cumsum(p[1:] / np.arange(1, k + 1)), p
+    n = 2 << k.bit_length()
+    rho = 1.0 - 11.0 / k
+    cv = np.asarray(c, dtype=float)
+    cv = cv[: np.flatnonzero(cv)[-1] + 1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        while True:
+            # np.fft is reached here: numpy loads its fft module on first use
+            g = np.fft.irfft(_log_derivative_samples(cv, phi, rho, n), n)
+            if abs(g[0]) < 0.5:  # nan (a sample on a zero) counts as a zero
+                break
+            rho /= 2.0
+            del g
+        j = np.arange(1, k + 1, dtype=float)
+        return np.cumsum(g[1 : k + 1] * rho**-j / j)
+
+
+def _log_derivative_samples(cv, phi: PhiMap, rho: float, n: int) -> np.ndarray:
+    """z P'(phi) phi' / P(phi) at z_l = rho e^(-2 pi i l/N), l = 0..N/2.
+
+    phi and z phi' are one real FFT each of phi's coefficients times
+    rho^i, folded mod N a block at a time (phi must be materialized, as
+    every rung's is); P and P' one Horner pass over P's true degree.
+    Each temporary is freed once spent: a call at K_GUARD terms peaks
+    near 0.6 MB.
+    """
+    a = phi.coeffs
+    w = rho ** np.arange(n) / phi.norm  # rho^i / norm over the block at hand
+    x, s, blk = np.zeros(n), np.zeros(n), np.empty(n)
+    for lo in range(0, len(a), n):
+        b = np.multiply(a[lo : lo + n], w[: len(a) - lo], out=blk[: len(a) - lo])
+        x[: len(b)] += b
+        b *= lo
+        s[: len(b)] += b
+        w *= rho**n
+    del blk, b
+    y = np.multiply(np.arange(n), x, out=w)  # z phi' folds to t x[t] + s[t]
+    y += s
+    del s
+    u, out = np.fft.rfft(x), np.fft.rfft(y)
+    del x, y, w
+    p, dp = np.full_like(u, cv[-1]), np.zeros_like(u)
+    for coef in cv[-2::-1]:
+        dp *= u
+        dp += p
+        p *= u
+        p += coef
+    out *= dp
+    out /= p
+    return out
 
 
 def _scan_stop(T: np.ndarray, eps: float, floor: int):
@@ -313,17 +362,16 @@ class _Attempt:
             phi = build_phi(dp)
             floor = _rung_floor(dp)
             k = min(max(k0, floor), K_GUARD)
-            p = None
             while True:
-                T, p = _series_estimates(self.c, phi, k, p)
-                j = _scan_stop(np.real(T), eps, floor)
+                T = _series_estimates(self.c, phi, k)
+                j = _scan_stop(T, eps, floor)
                 if j is not None:
                     return self, T, phi, j, sound, not self.doomed
                 # best-effort record: the longest representable prefix
-                finite = np.isfinite(np.real(T)) & (np.abs(np.real(T)) < 700.0)
+                finite = np.isfinite(T) & (np.abs(T) < 700.0)
                 jfin = int(np.argmin(finite)) if not finite.all() else k
                 if jfin >= 2:
-                    tail = abs(float(np.real(T[jfin - 1]) - np.real(T[jfin - 2])))
+                    tail = abs(float(T[jfin - 1] - T[jfin - 2]))
                     if fallback is None or tail < fallback[0]:
                         fallback = (tail, T[:jfin], phi, jfin, sound)
                 if k >= K_GUARD:
@@ -388,22 +436,23 @@ def approximate_Z(
         raise HolantError("the log series diverged on every available rung")
 
     attempt, T, phi, k_used, sound, converged = chosen
-    t_final = complex(T[k_used - 1])
-    if abs(t_final.imag) > IMAG_TOL:
-        raise HolantError(f"imaginary residue {t_final.imag:.2e} in the log series")
-
+    t_final = float(T[k_used - 1])
     # log |Z| stays finite where g0**n or the estimate overflows
-    log_estimate = g.n * math.log(abs(attempt.g0)) + t_final.real
+    log_scale = g.n * math.log(abs(attempt.g0))
+    log_estimate = log_scale + t_final
+    # the prefix is all of P_G, exact at oracle scale: Z = g0^n * P_G(1)
+    z_prime = math.fsum(attempt.c)
+    self_check = log_estimate - (log_scale + math.log(abs(z_prime))) if z_prime else None
     try:
         scale_pow = attempt.g0**g.n
     except OverflowError:
         scale_pow = math.inf
     try:
-        estimate = scale_pow * math.exp(t_final.real)
+        estimate = scale_pow * math.exp(t_final)
     except OverflowError:
         estimate = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        estimates = (scale_pow * np.exp(np.real(T[:k_used]))).tolist()
+        estimates = (scale_pow * np.exp(T[:k_used])).tolist()
     diagnostics = {
         "estimates": estimates,
         "engine": attempt.engine,
@@ -413,7 +462,8 @@ def approximate_Z(
         "rungs_tried": [r for r, _ in attempt.rungs],
         "transform_source": attempt.label,
         "rung_verdicts": {a.label: [list(v) for v in a.verdicts] for a in built},
-        "imag_residue": abs(t_final.imag),
+        "imag_residue": 0.0,  # the series of a real P is real
+        "self_check": self_check,
     }
     return ApproxResult(
         estimate=float(estimate),

@@ -183,6 +183,7 @@ def approx_to_json(res: ApproxResult) -> dict:
             "rung_sound": res.diagnostics["rung_sound"],
             "rungs_tried": res.diagnostics["rungs_tried"],
             "imag_residue": res.diagnostics["imag_residue"],
+            "self_check": res.diagnostics["self_check"],
             "transform_source": res.diagnostics["transform_source"],
             "rung_verdicts": res.diagnostics["rung_verdicts"],
             "phi_order": res.diagnostics["phi_order"],

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from test_kernels import reference_series
 
 from holant.coeffs import power_sums_from_coeffs
 from holant.errors import ArgumentError, GuardExceeded
@@ -186,6 +187,20 @@ def test_full_prefix_past_the_soft_edge_limit():
     assert abs(res.estimate / truth - 1) <= 0.05
 
 
+def test_39_edges_converge_within_eps():
+    # the k-doubling resume once continued the power sums of an order-k
+    # composition with the coefficients of the order-2k one, and this
+    # graph came out as 35,687,149 with converged: true
+    g = random_regular(26, 3, seed=1)
+    truth = float(brute_force_Z(g, signature([1, 1, 0, 0])))
+    assert truth == 3575154
+    res = approximate_Z(g, signature([1, 1, 0, 0]), 0.05)
+    assert res.converged
+    assert abs(res.estimate / truth - 1) <= 0.05
+    # the prefix is exact here, so the self-check is the log error itself
+    assert res.diagnostics["self_check"] == pytest.approx(math.log(res.estimate / truth), abs=1e-9)
+
+
 def test_evaluator_edge_limit_is_checked_before_any_work(monkeypatch):
     import holant.evaluator as ev
 
@@ -248,13 +263,14 @@ def test_doomed_ladder_still_gives_the_best_effort_record(monkeypatch):
     assert res.diagnostics["transform_source"] == "constructive"
     assert res.diagnostics["rungs_tried"] == [0.125]
     assert res.diagnostics["rung_sound"] is False
-    assert res.diagnostics["estimates"] == [
-        337.4681253982189,
-        3.1309536943429567e-05,
-        1.522241398878592e21,
-        5.593478747523675e-83,
-    ]
-    assert res.estimate == 5.593478747523675e-83
+    # the record's four estimates against the 50-digit composition and
+    # series; Newton's step-by-step recurrence is itself off by 2.5e-12
+    # relative at the fourth, whose log is -185
+    want = constructive.g0**4 * np.exp(reference_series(constructive.c, build_phi(0.125).prefix(4), 4))
+    got = np.array(res.diagnostics["estimates"])
+    assert np.max(np.abs(got / want - 1)) <= 1e-12
+    assert want[0] == pytest.approx(337.4681253982189, rel=1e-12)
+    assert res.estimate == got[-1]
     assert list(res.diagnostics["rung_verdicts"]) == ["constructive"]
 
 

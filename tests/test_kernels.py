@@ -1,38 +1,23 @@
 """The evaluator's series kernels and the batched margin sweep against
-direct reference implementations kept here, and the sweep's margins
-against 50-digit roots."""
+direct reference implementations kept here, the sampled series against a
+50-digit one, and the sweep's margins against 50-digit roots."""
 
+import decimal
 import math
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import holant.evaluator as ev
 from holant import stability
-from holant.coeffs import BLOCK, PowerSums, power_sums_from_coeffs
+from holant.classify import classify
+from holant.graphs import Multigraph, random_regular
 from holant.signatures import local_polynomial, reverse, signature
 from holant.stability import REJECT_RE, Poly, find_roots, h_eps_stability
 from holant.transform import apply_holographic, rotation_from_w, rotation_margins
-
-
-def stepwise_power_sums(c, total_degree, k):
-    """Newton's recurrence one term at a time, as the package ran it before
-    solving it in blocks: p_j = -(j c_j + sum_{i=1}^{j-1} p_i c_{j-i}) / c_0."""
-    c = np.asarray(c)
-    if c.dtype.kind == "c" and not c.imag.any():
-        c = c.real
-    dtype = np.result_type(c, np.float64)
-    rc = np.zeros(k + 1, dtype=dtype)
-    upto = min(len(c), k + 1)
-    rc[k + 1 - upto :] = c[upto - 1 :: -1]
-    p = np.zeros(k + 1, dtype=dtype)
-    p[0] = total_degree
-    cs = rc.tolist()
-    with np.errstate(invalid="ignore", over="ignore"):
-        for j in range(1, k + 1):
-            p[j] = -(j * cs[k - j] + np.dot(p[1:j], rc[k - j + 1 : k])) / cs[k]
-    return p
 
 
 def untrimmed_compose(c, phi, k):
@@ -129,46 +114,6 @@ def test_fft_composition_matches_direct_horner(dp, complex_entries):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(c))
 
 
-def _composed(seed, complex_entries, k, dp=0.155):
-    """The first k+1 coefficients of P composed with phi, as the evaluator
-    feeds them to the recurrence.  P is random of degree m with c_0 = 1 and
-    its roots in the left half-plane, at least 0.6 from 0, like a
-    stable P_G: clear of phi's strip, so the series converges.  Real P
-    pairs its complex roots."""
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(4, 25))
-    roots = rng.uniform(0.6, 3.0, m) * np.exp(1j * rng.uniform(math.pi / 2 + 0.1, math.pi, m))
-    if not complex_entries:
-        roots = np.concatenate([roots[: m // 2], roots[: m // 2].conj(), -np.abs(roots[m // 2 * 2 :])])
-    c = np.polynomial.polynomial.polyfromroots(roots)
-    c = c / c[0]
-    return ev.compose_prefix(c if complex_entries else c.real, ev.build_phi(dp), k), m
-
-
-@pytest.mark.parametrize("k", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7, ev.K_GUARD])
-@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
-def test_blocked_power_sums_match_the_stepwise_recurrence(k, complex_entries):
-    comp, m = _composed(k + complex_entries, complex_entries, k)
-    got = power_sums_from_coeffs(comp, m, k)
-    want = stepwise_power_sums(comp, m, k)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    # the first BLOCK terms are the step-by-step loop itself
-    assert np.array_equal(got[: BLOCK + 1], want[: BLOCK + 1])
-
-
-@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
-def test_resumed_blocks_give_the_bits_of_a_fresh_run(complex_entries):
-    comp, m = _composed(7, complex_entries, 3 * BLOCK + 50)
-    fresh = power_sums_from_coeffs(comp, m)
-    for start in (BLOCK // 2, BLOCK + 1, BLOCK + 40, 2 * BLOCK, 3 * BLOCK + 1, len(comp)):
-        # a shorter call ends inside a block; the resume recomputes that block
-        head = power_sums_from_coeffs(comp, m, start - 1)
-        assert np.array_equal(head, fresh[:start])
-        assert np.array_equal(power_sums_from_coeffs(comp, m, prefix=head), fresh)
-        assert np.array_equal(power_sums_from_coeffs(comp, m, prefix=fresh[:start]), fresh)
-
-
 @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
 def test_horner_over_the_true_degree_changes_no_bit(complex_entries):
     rng = np.random.default_rng(21 + complex_entries)
@@ -182,28 +127,121 @@ def test_horner_over_the_true_degree_changes_no_bit(complex_entries):
     assert ev.compose_prefix(np.zeros(5), phi, 4).tobytes() == np.zeros(5).tobytes()
 
 
-def test_resumed_power_sums_continue_a_fresh_run():
-    phi = ev.build_phi(0.185)
-    c = np.array([1.0, 3.0, 3.0, 1.0]) / np.array([1.0, 3.0, 9.0, 27.0])  # (1 + z/3)^3
-    comp = ev.compose_prefix(c, phi, 400)
-    fresh = power_sums_from_coeffs(comp, 400, 400)
-    head = power_sums_from_coeffs(comp, 400, 150)
-    # the same coefficients: the continuation repeats the fresh run exactly
-    assert np.array_equal(power_sums_from_coeffs(comp, 400, 400, prefix=head), fresh)
-    # a prefix from a shorter composition, as the evaluator's k doubling passes it
-    short = power_sums_from_coeffs(ev.compose_prefix(c, phi, 150), 150, 150)
-    resumed = power_sums_from_coeffs(comp, 400, 400, prefix=short)
-    assert np.array_equal(resumed[1:151], short[1:151])
-    assert np.allclose(resumed, fresh, rtol=1e-12, atol=1e-12)
+# 50-digit fixed point: a number x is the integer round(x * 10^50)
+SCALE = 10**50
 
 
-def test_power_sums_take_complex_input_and_prefix():
-    c = [1.0, 0.5j, -0.25]
-    fresh = power_sums_from_coeffs(c, 2, 12)
-    assert np.array_equal(power_sums_from_coeffs(c, 2, 12, prefix=fresh[:5]), fresh)
-    resumed = power_sums_from_coeffs(c, 2, 12, prefix=PowerSums(fresh[:5]))
-    assert np.array_equal(resumed, fresh)
-    assert fresh.imag.any()
+def _kronecker_product(a, b, n):
+    """First n coefficients of the product of two integer sequences, exact.
+
+    Kronecker substitution: each sequence is packed into one decimal
+    integer, W digits a coefficient with an offset of half of 10^W, so
+    that one product by the decimal module's number-theoretic transform
+    gives every coefficient.
+    """
+    a, b = a[:n], b[:n]
+    width = len(str(max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b)))) + 2
+    half = 5 * 10 ** (width - 1)
+    ctx = decimal.Context(prec=width * (len(a) + len(b) + 2), Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+    def offset(count):
+        return decimal.Decimal(("5" + "0" * (width - 1)) * count)
+
+    def pack(v):
+        return ctx.subtract(decimal.Decimal("".join(f"{x + half:0{width}d}" for x in reversed(v))), offset(len(v)))
+
+    count = len(a) + len(b) - 1
+    digits = str(ctx.add(ctx.multiply(pack(a), pack(b)), offset(count))).rjust(width * count, "0")
+    out = [int(digits[len(digits) - width * (j + 1) : len(digits) - width * j]) - half for j in range(min(n, count))]
+    return out + [0] * (n - len(out))
+
+
+def _fixed_product(a, b, n):
+    return [(x + SCALE // 2) // SCALE for x in _kronecker_product(a, b, n)]
+
+
+def reference_series(c, phic, k):
+    """T_1..T_k of log P(phi(z)) at 1 in 50-digit fixed point, from the
+    exact float inputs: Horner's composition, 1/Q by Newton's iteration
+    r <- r (2 - Q r), and j F_j as the coefficients of z Q' / Q."""
+    n = k + 1
+    ph = [round(Fraction(x) * SCALE) for x in phic[:n]]
+    cs = [Fraction(x) for x in c]
+    while cs[-1] == 0:
+        cs.pop()
+    q = [round(cs[-1] * SCALE)]
+    for coef in cs[-2::-1]:
+        q = _fixed_product(q, ph, n)
+        q[0] += round(coef * SCALE)
+    r, size = [round(Fraction(SCALE * SCALE, q[0]))], 1
+    while size < n:
+        size = min(2 * size, n)
+        e = [-x for x in _fixed_product(q, r, size)]
+        e[0] += 2 * SCALE
+        r = _fixed_product(r, e, size)
+    jf = _fixed_product([j * x for j, x in enumerate(q)], r, n)
+    T, acc = [], Fraction(0)
+    for j in range(1, n):
+        acc += Fraction(jf[j], j * SCALE)
+        T.append(float(acc))
+    return np.array(T)
+
+
+def _attempt(g, vals):
+    f = signature(vals)
+    outcome = classify(f)
+    return ev._Attempt(g, f, outcome.matrix, outcome.use_reversal, "constructive")
+
+
+@pytest.mark.parametrize("dp", [0.185, 0.155])
+@pytest.mark.parametrize("n", [12, 20, 26])
+def test_sampled_series_matches_a_50_digit_reference(n, dp):
+    # matchings on cubic graphs of 18, 30 and 39 edges; the composition
+    # and Newton route lost up to 5e-9 at 39 edges
+    c = _attempt(random_regular(n, 3, seed=1), [1, 1, 0, 0]).c
+    phi = ev.build_phi(dp)
+    want = reference_series(c, phi.prefix(ev.K_GUARD), ev.K_GUARD)
+    floor = ev._rung_floor(dp)
+    for k in (floor, 2 * floor, ev.K_GUARD):
+        got = ev._series_estimates(c, phi, k)
+        assert got.shape == (k,) and got.dtype == float
+        assert np.max(np.abs(got - want[:k])) <= 1e-10
+
+
+# matchings [1,1,0,0,0] on this 4-regular graph of 18 edges converge on no
+# rung within K_GUARD terms; rung 0.155 is murky
+NONCONV9X4 = ((0, 8), (3, 4), (2, 4), (1, 6), (3, 7), (0, 6), (0, 1), (1, 3), (3, 8),
+              (5, 6), (0, 2), (4, 7), (5, 7), (1, 5), (7, 8), (2, 6), (2, 8), (4, 5))
+
+
+def test_a_zero_inside_the_circle_yields_no_stop():
+    # P(phi(z)) has a zero inside |z| = 1 - 11/k here; samples around it
+    # are no Taylor coefficients, and read as such they settle on a wrong
+    # value.  The zero count shrinks the circle, and the true series
+    # diverges.
+    c = _attempt(Multigraph(9, NONCONV9X4), [1, 1, 0, 0, 0]).c
+    dp = 0.155
+    phi, floor = ev.build_phi(dp), ev._rung_floor(dp)
+    k = floor
+    while True:
+        T = ev._series_estimates(c, phi, k)
+        assert ev._scan_stop(T, 0.05, floor) is None
+        if k == ev.K_GUARD:
+            break
+        k = min(2 * k, ev.K_GUARD)
+
+
+def test_one_series_call_stays_under_a_megabyte():
+    c = _attempt(random_regular(26, 3, seed=1), [1, 1, 0, 0]).c
+    phi = ev.build_phi(0.125)  # the longest phi of the ladder
+    ev._series_estimates(c, phi, 200)  # numpy's fft module and its caches load here
+    tracemalloc.start()
+    try:
+        ev._series_estimates(c, phi, ev.K_GUARD)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
 
 
 def _margin_signatures():
