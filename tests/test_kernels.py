@@ -14,10 +14,30 @@ import pytest
 import holant.evaluator as ev
 from holant import stability
 from holant.classify import classify
+from holant.coeffs import BLOCK, power_sums_from_coeffs
 from holant.graphs import Multigraph, random_regular
 from holant.signatures import local_polynomial, reverse, signature
 from holant.stability import REJECT_RE, Poly, find_roots, h_eps_stability
 from holant.transform import apply_holographic, rotation_from_w, rotation_margins
+
+
+def stepwise_power_sums(c, total_degree, k):
+    """Newton's recurrence one term at a time, as the package ran it before
+    solving it in blocks: p_j = -(j c_j + sum_{i=1}^{j-1} p_i c_{j-i}) / c_0."""
+    c = np.asarray(c)
+    if c.dtype.kind == "c" and not c.imag.any():
+        c = c.real
+    dtype = np.result_type(c, np.float64)
+    rc = np.zeros(k + 1, dtype=dtype)
+    upto = min(len(c), k + 1)
+    rc[k + 1 - upto :] = c[upto - 1 :: -1]
+    p = np.zeros(k + 1, dtype=dtype)
+    p[0] = total_degree
+    cs = rc.tolist()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(1, k + 1):
+            p[j] = -(j * cs[k - j] + np.dot(p[1:j], rc[k - j + 1 : k])) / cs[k]
+    return p
 
 
 def untrimmed_compose(c, phi, k):
@@ -112,6 +132,34 @@ def test_fft_composition_matches_direct_horner(dp, complex_entries):
         # FFT rounding is absolute, on the scale of sum |c_i| (phi's
         # coefficients are positive and sum to 1)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(c))
+
+
+def _composed(seed, complex_entries, k, dp=0.155):
+    """The first k+1 coefficients of P composed with phi, as the evaluator
+    feeds them to the recurrence.  P is random of degree m with c_0 = 1 and
+    its roots in the left half-plane, at least 0.6 from 0, like a
+    stable P_G: clear of phi's strip, so the series converges.  Real P
+    pairs its complex roots."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(4, 25))
+    roots = rng.uniform(0.6, 3.0, m) * np.exp(1j * rng.uniform(math.pi / 2 + 0.1, math.pi, m))
+    if not complex_entries:
+        roots = np.concatenate([roots[: m // 2], roots[: m // 2].conj(), -np.abs(roots[m // 2 * 2 :])])
+    c = np.polynomial.polynomial.polyfromroots(roots)
+    c = c / c[0]
+    return ev.compose_prefix(c if complex_entries else c.real, ev.build_phi(dp), k), m
+
+
+@pytest.mark.parametrize("k", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7, ev.K_GUARD])
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_blocked_power_sums_match_the_stepwise_recurrence(k, complex_entries):
+    comp, m = _composed(k + complex_entries, complex_entries, k)
+    got = power_sums_from_coeffs(comp, m, k)
+    want = stepwise_power_sums(comp, m, k)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # the first BLOCK terms are the step-by-step loop itself
+    assert np.array_equal(got[: BLOCK + 1], want[: BLOCK + 1])
 
 
 @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
