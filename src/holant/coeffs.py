@@ -25,10 +25,6 @@ from .signatures import SymmetricSignature
 
 ADDITIVE_K_GUARD = 8
 
-# width of the blocks in which power_sums_from_coeffs solves Newton's
-# recurrence past its first BLOCK terms
-BLOCK = 128
-
 
 @dataclass(frozen=True)
 class PowerSums:
@@ -54,13 +50,8 @@ def power_sums_from_coeffs(coeffs, total_degree: int, k: int = None) -> np.ndarr
     """Newton's identities: the array p_0..p_k from c_0..c_k, p_0 = total_degree.
 
     Solves the recurrence c_0 p_j = -(j c_j + sum_{i=1}^{j-1} p_i c_{j-i})
-    in float64 when every coefficient is real (and the array is then
-    float64), else in complex128.  Terms 1..BLOCK run it step by step.
-    Later terms are solved a block of BLOCK at a time: a block's history
-    sum_{i<J} p_i c_{j-i} is one direct convolution, and its in-block
-    part a product with d = 1/C mod z^BLOCK (itself computed by the same
-    recurrence) plus one refinement step.  Every sum is a direct one (no
-    FFT).
+    one term at a time, in float64 when every coefficient is real (and the
+    array is then float64), else in complex128.
     """
     c = np.asarray(coeffs)
     if c.dtype.kind not in "fc":
@@ -72,46 +63,17 @@ def power_sums_from_coeffs(coeffs, total_degree: int, k: int = None) -> np.ndarr
     if k is None:
         k = len(c) - 1
     dtype = np.result_type(c, np.float64)
-    # terms 1..BLOCK, then whole blocks of BLOCK past k; the last is cut
-    size = k + 1 if k <= BLOCK else BLOCK + 1 + -(-(k - BLOCK) // BLOCK) * BLOCK
-    cf = np.zeros(size, dtype=dtype)
-    cf[: min(len(c), k + 1)] = c[: k + 1]
-    p = np.zeros(size, dtype=dtype)
-    p[0] = total_degree
-    head = min(k, BLOCK)
-    # reversed coefficients: c_{j-1}, ..., c_1 is the contiguous slice rc[head-j+1:head]
-    rc = cf[head::-1].copy()
+    # reversed coefficients: c_{j-1}, ..., c_1 is the contiguous slice rc[k-j+1:k]
+    rc = np.zeros(k + 1, dtype=dtype)
+    upto = min(len(c), k + 1)
+    rc[k + 1 - upto :] = c[upto - 1 :: -1]
     cs = rc.tolist()  # Python scalars: cheaper per step than numpy ones
-    c0 = cs[head]
+    p = np.zeros(k + 1, dtype=dtype)
+    p[0] = total_degree
     with np.errstate(invalid="ignore", over="ignore"):
-        for j in range(1, head + 1):
-            p[j] = -(j * cs[head - j] + np.dot(p[1:j], rc[head - j + 1 : head])) / c0
-        if k > BLOCK:
-            _power_sum_blocks(p, cf)
-    return p[: k + 1]
-
-
-def _power_sum_blocks(p: np.ndarray, cf: np.ndarray) -> None:
-    """Fill p[BLOCK + 1:] block by block; len(p) - BLOCK - 1 is a multiple of BLOCK.
-
-    Within the block j = J..J+BLOCK-1 the recurrence reads
-    C(z) q(z) = r(z) mod z^BLOCK, with q the block's power sums and
-    r_j = -(j c_j + sum_{i<J} p_i c_{j-i}), so q = d r with d = 1/C.
-    When the c_j are large against c_0, r is large against q, and d r
-    loses as many digits to cancellation; one refinement step, q += d (r -
-    C q), gives back the accuracy of the step-by-step recurrence.
-    """
-    rb = cf[BLOCK - 1 :: -1].copy()  # c_t, ..., c_1 is rb[BLOCK-1-t:BLOCK-1]
-    d = np.zeros(BLOCK, dtype=cf.dtype)
-    d[0] = 1.0 / cf[0]
-    for t in range(1, BLOCK):
-        d[t] = -np.dot(d[:t], rb[BLOCK - 1 - t : BLOCK - 1]) / cf[0]
-    for J in range(BLOCK + 1, len(p), BLOCK):
-        end = J + BLOCK
-        hist = np.convolve(cf[1 : end - 1], p[1:J], mode="valid")
-        r = -(np.arange(J, end) * cf[J:end] + hist)
-        q = np.convolve(d, r)[:BLOCK]
-        p[J:end] = q + np.convolve(d, r - np.convolve(cf[:BLOCK], q)[:BLOCK])[:BLOCK]
+        for j in range(1, k + 1):
+            p[j] = -(j * cs[k - j] + np.dot(p[1:j], rc[k - j + 1 : k])) / cs[k]
+    return p
 
 
 def coeffs_from_power_sums(p, k: int) -> np.ndarray:

@@ -462,7 +462,6 @@ def approximate_Z(
         "rungs_tried": [r for r, _ in attempt.rungs],
         "transform_source": attempt.label,
         "rung_verdicts": {a.label: [list(v) for v in a.verdicts] for a in built},
-        "imag_residue": 0.0,  # the series of a real P is real
         "self_check": self_check,
     }
     return ApproxResult(

@@ -182,7 +182,6 @@ def approx_to_json(res: ApproxResult) -> dict:
             "engine": res.diagnostics["engine"],
             "rung_sound": res.diagnostics["rung_sound"],
             "rungs_tried": res.diagnostics["rungs_tried"],
-            "imag_residue": res.diagnostics["imag_residue"],
             "self_check": res.diagnostics["self_check"],
             "transform_source": res.diagnostics["transform_source"],
             "rung_verdicts": res.diagnostics["rung_verdicts"],
