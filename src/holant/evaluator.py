@@ -244,9 +244,10 @@ def _root_clearance(roots: np.ndarray, dp: float, alpha: float) -> float:
     return float(np.min(mags)) if len(mags) else math.inf
 
 
-def _series_estimates(c, phi: PhiMap, k: int) -> np.ndarray:
-    """T_j for j = 1..k of log(P composed with phi) at 1, P real, by the
-    trapezoidal rule on one circle.
+def _series_estimates(c, phi: PhiMap, k: int):
+    """(T, zeros): T_j for j = 1..k of log(P composed with phi) at 1, P
+    real, by the trapezoidal rule on one circle, and the number of zeros
+    of P(phi(z)) inside |z| = 1 - 11/k (None when the count is nan).
 
     The samples of z F'(z) = P'(phi) z phi' / P(phi), F = log P(phi(z)),
     at N = 2 * 2^ceil(log2(k+1)) points of |z| = rho = 1 - 11/k have the
@@ -255,22 +256,23 @@ def _series_estimates(c, phi: PhiMap, k: int) -> np.ndarray:
     circle (the argument principle).  Where it is not 0 the samples are
     no Taylor coefficients, and rho is halved until it is: the true
     series of a diverging rung then overflows, and the stop scan rejects
-    non-finite entries, so that noise is silenced here.
+    non-finite entries, so that noise is silenced here.  A nan count (a
+    sample on a zero) halves rho too, but proves no zero inside.
     """
     n = 2 << k.bit_length()
     rho = 1.0 - 11.0 / k
     cv = np.asarray(c, dtype=float)
     cv = cv[: np.flatnonzero(cv)[-1] + 1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        while True:
-            # np.fft is reached here: numpy loads its fft module on first use
-            g = np.fft.irfft(_log_derivative_samples(cv, phi, rho, n), n)
-            if abs(g[0]) < 0.5:  # nan (a sample on a zero) counts as a zero
-                break
+        # np.fft is reached here: numpy loads its fft module on first use
+        g = np.fft.irfft(_log_derivative_samples(cv, phi, rho, n), n)
+        zeros = round(float(g[0])) if math.isfinite(g[0]) else None
+        while not abs(g[0]) < 0.5:
             rho /= 2.0
             del g
+            g = np.fft.irfft(_log_derivative_samples(cv, phi, rho, n), n)
         j = np.arange(1, k + 1, dtype=float)
-        return np.cumsum(g[1 : k + 1] * rho**-j / j)
+        return np.cumsum(g[1 : k + 1] * rho**-j / j), zeros
 
 
 def _log_derivative_samples(cv, phi: PhiMap, rho: float, n: int) -> np.ndarray:
@@ -356,25 +358,29 @@ class _Attempt:
         """(self, T, phi, k, sound, accepted_flag) for the first stabilized
         rung, else for the most stable attempt seen; None when every rung
         overflowed at once.  A doomed ladder's stop is never an acceptance:
-        its series diverges, however settled its first terms look."""
+        its series diverges, however settled its first terms look.  Nor is
+        a stop on a rung whose P(phi(z)) has a zero inside |z| = 1 - 11/k:
+        that zero lies in the unit disk, so the series at 1 diverges at
+        every k, and the rung ends at that call, its record kept as a best
+        effort only."""
         fallback = None
         for dp, sound in self.rungs:
             phi = build_phi(dp)
             floor = _rung_floor(dp)
             k = min(max(k0, floor), K_GUARD)
             while True:
-                T = _series_estimates(self.c, phi, k)
+                T, zeros = _series_estimates(self.c, phi, k)
                 j = _scan_stop(T, eps, floor)
-                if j is not None:
+                if j is not None and not zeros:
                     return self, T, phi, j, sound, not self.doomed
-                # best-effort record: the longest representable prefix
-                finite = np.isfinite(T) & (np.abs(T) < 700.0)
-                jfin = int(np.argmin(finite)) if not finite.all() else k
-                if jfin >= 2:
-                    tail = abs(float(T[jfin - 1] - T[jfin - 2]))
+                if j is None:  # best-effort record: the longest representable prefix
+                    finite = np.isfinite(T) & (np.abs(T) < 700.0)
+                    j = int(np.argmin(finite)) if not finite.all() else k
+                if j >= 2:
+                    tail = abs(float(T[j - 1] - T[j - 2]))
                     if fallback is None or tail < fallback[0]:
-                        fallback = (tail, T[:jfin], phi, jfin, sound)
-                if k >= K_GUARD:
+                        fallback = (tail, T[:j], phi, j, sound)
+                if zeros or k >= K_GUARD:
                     break
                 k = min(2 * k, K_GUARD)
         if fallback is None:
@@ -452,7 +458,7 @@ def approximate_Z(
     except OverflowError:
         estimate = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        estimates = (scale_pow * np.exp(T[:k_used])).tolist()
+        estimates = scale_pow * np.exp(T[:k_used])
     diagnostics = {
         "estimates": estimates,
         "engine": attempt.engine,

@@ -165,6 +165,12 @@ def outcome_to_json(out: ClassificationOutcome) -> dict:
 
 
 def approx_to_json(res: ApproxResult) -> dict:
+    """The report of an approx run.  Of the k_used estimates it keeps the
+    four the stop test compares, ``stop_window``: those at the 1-based
+    indices j//2, j-2, j-1 and j for j = k_used (each at least 1), also
+    for an unconverged record."""
+    j = res.k_used
+    window = [res.diagnostics["estimates"][max(i, 1) - 1] for i in (j // 2, j - 2, j - 1, j)]
     return {
         "estimate": res.estimate,
         "log_estimate": res.log_estimate,
@@ -178,7 +184,7 @@ def approx_to_json(res: ApproxResult) -> dict:
         "reversed": res.reversed,
         "converged": res.converged,
         "diagnostics": {
-            "estimates": res.diagnostics["estimates"],
+            "stop_window": [float(x) for x in window],
             "engine": res.diagnostics["engine"],
             "rung_sound": res.diagnostics["rung_sound"],
             "rungs_tried": res.diagnostics["rungs_tried"],

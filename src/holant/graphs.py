@@ -179,37 +179,44 @@ def _plan(g: Multigraph, live: list, strata: int):
     Each step places the unplaced edge whose state, after finished vertices
     are contracted, is smallest (then whose grown state is smallest, then
     the lowest edge index), so the order is a deterministic function of
-    the graph, the signatures' live lengths and ``strata``.
+    the graph, the signatures' live lengths and ``strata``.  Each vertex's
+    axis length (1 off the frontier) and their running product score a
+    candidate in a few integer operations; the degree axis scales every
+    candidate of a step alike, so it enters only the peak.
     """
+    edges = g.edges
     remaining = g.degrees()
-    lengths = {}  # frontier vertex -> axis length
-    todo = list(range(g.m))
+    length = [1] * g.n
+    total = 1  # product of the frontier's axis lengths
+    todo = list(range(g.m))  # ascending, so the first best has the lowest index
     order = []
     peak = 1
     for step in range(g.m):
-        depth = min(step + 2, strata) if strata else 1
         best = None
         for e in todo:
-            u, v = g.edges[e]
-            grown = dict(lengths)
-            left = {}
-            for w in (u, v):
-                grown[w] = min(grown.get(w, 1) + 1, live[w])
-                left[w] = left.get(w, remaining[w]) - 1
-            size = depth * math.prod(grown.values())
-            after = depth * math.prod(n for w, n in grown.items() if left.get(w, 1))
-            key = (after, size, e)
-            if best is None or key < best[0]:
-                best = (key, grown, left)
-        (_, size, e), grown, left = best
-        peak = max(peak, size)
-        for w, k in left.items():
-            remaining[w] = k
-            if not k:
-                del grown[w]
-        lengths = grown
-        order.append(e)
-        todo.remove(e)
+            u, v = edges[e]
+            if u == v:
+                grown = min(length[u] + 2, live[u])
+                rest = total // length[u]
+                size = rest * grown
+                after = size if remaining[u] > 2 else rest
+            else:
+                gu, gv = min(length[u] + 1, live[u]), min(length[v] + 1, live[v])
+                rest = total // (length[u] * length[v])
+                size = rest * gu * gv
+                after = rest * (gu if remaining[u] > 1 else 1) * (gv if remaining[v] > 1 else 1)
+            if best is None or after < best_after or (after == best_after and size < best_size):
+                best, best_after, best_size = e, after, size
+        depth = min(step + 2, strata) if strata else 1
+        peak = max(peak, depth * best_size)
+        u, v = edges[best]
+        for w in dict.fromkeys((u, v)):
+            total //= length[w]
+            remaining[w] -= 2 if u == v else 1
+            length[w] = min(length[w] + (2 if u == v else 1), live[w]) if remaining[w] else 1
+            total *= length[w]
+        order.append(best)
+        todo.remove(best)
     return order, peak
 
 

@@ -120,42 +120,47 @@ def apply_holographic(f: SymmetricSignature, M: Matrix2) -> SymmetricSignature:
     Writing f as the binary form sum_k C(d,k) f_k u^(d-k) v^k, the transform
     substitutes u -> m00 u + m01 v, v -> m10 u + m11 v; entry j of the result
     is the v^j coefficient divided by C(d, j).  Output entries are complex.
+
+    Every certificate, g' and estimate comes from these bits, so the
+    scalar arithmetic follows the reference numpy kernel in
+    tests/test_transform.py operation for operation: powers by repeated
+    squaring from 1, sums in increasing index, and the division as numpy
+    divides by a real (Smith's rule, (re + im*0) * (1 / C(d, j))).  The
+    bits agree for every real M, the only kind the package applies; for a
+    complex M they may differ in the last places where numpy fuses a
+    multiply-add of a complex product.
     """
-    rows = [np.array([[x]], dtype=complex) for x in (M.m00, M.m01, M.m10, M.m11)]
-    out = _holographic_rows(f.as_complex()[None, :], *rows)
-    return SymmetricSignature(tuple(out[0]))
+    vals = [complex(x) for x in f.values]
+    d = len(vals) - 1
+    acc = [0j] * (d + 1)
+    for k, fk in enumerate(vals):
+        pb = _linear_powers(M.m10, M.m11, k)
+        prod = [0j] * (d + 1)
+        for i, x in enumerate(_linear_powers(M.m00, M.m01, d - k)):
+            for j, y in enumerate(pb):
+                prod[i + j] += x * y
+        c = math.comb(d, k) * fk
+        for j, p in enumerate(prod):
+            acc[j] += c * p
+    out = []
+    for j, z in enumerate(acc):
+        inv = 1.0 / math.comb(d, j)
+        out.append(complex((z.real + z.imag * 0.0) * inv, (z.imag - z.real * 0.0) * inv))
+    return SymmetricSignature(tuple(out))
 
 
-def _holographic_rows(vals, a0, a1, b0, b1) -> np.ndarray:
-    """The arithmetic of ``apply_holographic``: row i of vals (N, d+1)
-    under the matrix whose entries are row i of the (N, 1) columns a0, a1,
-    b0, b1.  Every certificate comes from these bits, so they stay as
-    they are."""
-    d = vals.shape[1] - 1
-    acc = np.zeros(vals.shape, dtype=complex)
-    for k in range(d + 1):
-        pa = _linear_powers(a0, a1, d - k)
-        pb = _linear_powers(b0, b1, k)
-        prod = np.zeros_like(acc)
-        for i in range(d - k + 1):
-            prod[:, i : i + k + 1] += pa[:, i : i + 1] * pb
-        acc += (math.comb(d, k) * vals[:, k])[:, None] * prod
-    return acc / np.array([math.comb(d, j) for j in range(d + 1)], dtype=float)
+def _linear_powers(c0: complex, c1: complex, n: int) -> list:
+    """Coefficients of (c0 + c1 z)^n."""
+    return [math.comb(n, i) * _powu(c0, n - i) * _powu(c1, i) for i in range(n + 1)]
 
 
-def _linear_powers(c0: np.ndarray, c1: np.ndarray, n: int) -> np.ndarray:
-    """Coefficients of (c0 + c1 z)^n, one row per entry of the (N, 1) columns."""
-    return np.hstack([math.comb(n, i) * _powu(c0, n - i) * _powu(c1, i) for i in range(n + 1)])
-
-
-def _powu(x: np.ndarray, n: int) -> np.ndarray:
+def _powu(x: complex, n: int) -> complex:
     """x**n by repeated squaring."""
-    out = np.ones_like(x)
-    mask = 1
-    while mask <= n:
-        if n & mask:
+    out = 1 + 0j
+    while n:
+        if n & 1:
             out = out * x
-        mask <<= 1
+        n >>= 1
         x = x * x
     return out
 

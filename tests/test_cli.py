@@ -288,3 +288,41 @@ def test_approx_reports_log_estimate(capsys, files):
     assert code == 0
     doc = json.loads(out)["outcome"]
     assert doc["log_estimate"] == pytest.approx(math.log(doc["estimate"]), rel=1e-12)
+
+
+def test_an_unconverged_report_stays_small(capsys, files):
+    # a K_GUARD-long record: the report keeps the four estimates the stop
+    # test compares, not all k_used of them
+    import holant.evaluator as ev
+    from holant.formats import approx_to_json
+    from holant.graphs import Multigraph
+    from test_kernels import NONCONV9X4
+
+    g = Multigraph(9, NONCONV9X4)
+    sig = files["dir"] / "f.sig"
+    sig.write_text("sig d=4 [1,1,0,0,0]\n")
+    graph = files["dir"] / "nonconv9x4.graph"
+    graph.write_text(dump_graph(g))
+    code, out, _ = run(capsys, "approx", str(sig), str(graph), "--eps", "0.05")
+    assert code == 6 and len(out.encode()) < 4096
+    outcome = json.loads(out)["outcome"]
+    assert outcome["k_used"] == ev.K_GUARD and "estimates" not in outcome["diagnostics"]
+    window = outcome["diagnostics"]["stop_window"]
+    assert len(window) == 4 and window[-1] == outcome["estimate"]
+
+    res = ev.approximate_Z(g, signature([1, 1, 0, 0, 0]), 0.05)
+    j, estimates = res.k_used, res.diagnostics["estimates"]
+    assert len(estimates) == j
+    want = [float(estimates[i - 1]) for i in (j // 2, j - 2, j - 1, j)]
+    assert approx_to_json(res)["diagnostics"]["stop_window"] == want
+
+
+def test_the_stop_window_of_a_short_record_starts_at_index_1():
+    import dataclasses
+
+    import holant.evaluator as ev
+    from holant.formats import approx_to_json
+
+    res = dataclasses.replace(ev.approximate_Z(complete(4), signature([1, 1, 0, 0]), 0.05), k_used=2)
+    first, second = (float(x) for x in res.diagnostics["estimates"][:2])
+    assert approx_to_json(res)["diagnostics"]["stop_window"] == [first, first, first, second]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from test_kernels import reference_series
+from test_kernels import NONCONV9X4, reference_series
 
 from holant.coeffs import power_sums_from_coeffs
 from holant.errors import ArgumentError, GuardExceeded
@@ -317,6 +317,36 @@ def test_a_doomed_rung_that_stops_is_still_unconverged(monkeypatch, tmp_path, ca
     graph.write_text(dump_graph(complete(4)))
     assert main(["approx", str(sig), str(graph), "--eps", "0.05"]) == EXIT_UNCONVERGED
     assert json.loads(capsys.readouterr().out)["outcome"]["converged"] is False
+
+
+def test_a_counted_zero_ends_the_rung_at_its_first_call(monkeypatch):
+    # nonconv9x4's murky rung 0.155 has a zero of P(phi(z)) inside the
+    # first circle, so its series at 1 diverges: the rung ends after one
+    # call instead of doubling k to K_GUARD, and the record is the same
+    import holant.evaluator as ev
+    from holant.graphs import Multigraph
+
+    kernel, calls = ev._series_estimates, []
+
+    def record(hide_count):
+        def series(c, phi, k):
+            calls.append((phi.delta, k))
+            T, zeros = kernel(c, phi, k)
+            return T, None if hide_count else zeros
+
+        return series
+
+    results = []
+    for hide_count in (False, True):
+        calls.clear()
+        monkeypatch.setattr(ev, "_series_estimates", record(hide_count))
+        results.append(approximate_Z(Multigraph(9, NONCONV9X4), signature([1, 1, 0, 0, 0]), 0.05))
+        if not hide_count:
+            assert calls == [(0.125, 4472), (0.125, 6000), (0.155, 951)]
+    assert calls == [(0.125, 4472), (0.125, 6000), (0.155, 951), (0.155, 1902), (0.155, 3804), (0.155, 6000)]
+    counted, hidden = results
+    assert not counted.converged and (counted.k_used, counted.delta) == (6000, 0.25)
+    assert (counted.estimate, counted.k_used, counted.delta) == (hidden.estimate, hidden.k_used, hidden.delta)
 
 
 # The fixed-graph instances of the benchmark's approx-ladder workload, with

@@ -198,6 +198,54 @@ def test_contraction_matches_enumeration(kind):
         assert np.isrealobj(got) == (kind == "float") and isinstance(z, float if kind == "float" else complex)
 
 
+def reference_plan(g: Multigraph, live: list, strata: int):
+    """The contraction planner as it once ran: every candidate edge scored
+    on a copy of the frontier's {vertex: axis length} dict.  graphs._plan
+    must give the same (order, peak)."""
+    remaining = g.degrees()
+    lengths = {}  # frontier vertex -> axis length
+    todo = list(range(g.m))
+    order = []
+    peak = 1
+    for step in range(g.m):
+        depth = min(step + 2, strata) if strata else 1
+        best = None
+        for e in todo:
+            u, v = g.edges[e]
+            grown = dict(lengths)
+            left = {}
+            for w in (u, v):
+                grown[w] = min(grown.get(w, 1) + 1, live[w])
+                left[w] = left.get(w, remaining[w]) - 1
+            size = depth * math.prod(grown.values())
+            after = depth * math.prod(n for w, n in grown.items() if left.get(w, 1))
+            key = (after, size, e)
+            if best is None or key < best[0]:
+                best = (key, grown, left)
+        (_, size, e), grown, left = best
+        peak = max(peak, size)
+        for w, k in left.items():
+            remaining[w] = k
+            if not k:
+                del grown[w]
+        lengths = grown
+        order.append(e)
+        todo.remove(e)
+    return order, peak
+
+
+def test_plan_matches_the_reference_planner():
+    from holant.graphs import _plan
+
+    rng = random.Random("planner")
+    graphs = [random_multigraph(rng) for _ in range(40)]
+    graphs += [random_regular(n, d, seed=s) for n, d, s in ((12, 3, 1), (14, 3, 2), (10, 4, 3), (9, 4, 0))]
+    for g in graphs:
+        live = [rng.randint(1, d + 1) for d in g.degrees()]
+        for strata in (0, 7, g.m + 1):
+            assert _plan(g, live, strata) == reference_plan(g, live, strata)
+
+
 def test_contraction_plan_is_refused_before_any_work(monkeypatch):
     import holant.graphs as graphs
 

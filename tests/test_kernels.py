@@ -256,7 +256,8 @@ def test_sampled_series_matches_a_50_digit_reference(n, dp):
     want = reference_series(c, phi.prefix(ev.K_GUARD), ev.K_GUARD)
     floor = ev._rung_floor(dp)
     for k in (floor, 2 * floor, ev.K_GUARD):
-        got = ev._series_estimates(c, phi, k)
+        got, zeros = ev._series_estimates(c, phi, k)
+        assert zeros == 0
         assert got.shape == (k,) and got.dtype == float
         assert np.max(np.abs(got - want[:k])) <= 1e-10
 
@@ -277,11 +278,32 @@ def test_a_zero_inside_the_circle_yields_no_stop():
     phi, floor = ev.build_phi(dp), ev._rung_floor(dp)
     k = floor
     while True:
-        T = ev._series_estimates(c, phi, k)
+        T, zeros = ev._series_estimates(c, phi, k)
+        assert zeros >= 1
         assert ev._scan_stop(T, 0.05, floor) is None
         if k == ev.K_GUARD:
             break
         k = min(2 * k, ev.K_GUARD)
+
+
+def test_a_nan_count_halves_rho_but_counts_no_zero(monkeypatch):
+    # a sample on a zero makes the count nan: no Taylor coefficients come
+    # from that circle, but no zero inside it is proven either
+    c = _attempt(random_regular(12, 3, seed=1), [1, 1, 0, 0]).c
+    phi, k = ev.build_phi(0.185), ev._rung_floor(0.185)
+    samples, radii = ev._log_derivative_samples, []
+
+    def first_circle_meets_a_zero(cv, phi, rho, n):
+        radii.append(rho)
+        out = samples(cv, phi, rho, n)
+        if len(radii) == 1:
+            out[1] = np.nan
+        return out
+
+    monkeypatch.setattr(ev, "_log_derivative_samples", first_circle_meets_a_zero)
+    _, zeros = ev._series_estimates(c, phi, k)
+    assert zeros is None
+    assert radii == [1.0 - 11.0 / k, (1.0 - 11.0 / k) / 2.0]
 
 
 def test_one_series_call_stays_under_a_megabyte():

@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holant.coeffs import coeffs_from_power_sums, power_sums_from_coeffs
-from holant.graphs import Multigraph, brute_force_coeffs, brute_force_Z, disjoint_union
+from holant.graphs import Multigraph, _plan, brute_force_coeffs, brute_force_Z, disjoint_union
 from holant.signatures import SymmetricSignature, local_polynomial, reverse
 from holant.transform import apply_holographic, rotation_from_w, rotation_roots
+from test_graphs import reference_plan
 
 PROFILE = settings(max_examples=20, derandomize=True, deadline=None)
 
@@ -106,6 +107,26 @@ def test_Z_is_invariant_under_orthogonal_transforms_and_reversal(inst, t, reflec
     z = brute_force_Z(g, sigs)
     assert brute_force_Z(g, [exact_orthogonal(s, t, reflect) for s in sigs]) == z
     assert brute_force_Z(g, [reverse(s) for s in sigs]) == z
+
+
+@st.composite
+def multigraphs(draw):
+    """A multigraph of up to 24 edges between up to 8 vertices, self-loops
+    and parallel edges included, with a live length per vertex from 1 to
+    its degree + 1 and a strata of 0, 7 or m + 1."""
+    n = draw(st.integers(1, 8))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=24))
+    g = Multigraph(n, tuple(edges))
+    live = [draw(st.integers(1, d + 1)) for d in g.degrees()]
+    strata = draw(st.sampled_from([0, 7, g.m + 1]))
+    return g, live, strata
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(multigraphs())
+def test_plan_matches_the_reference_planner(inst):
+    g, live, strata = inst
+    assert _plan(g, live, strata) == reference_plan(g, live, strata)
 
 
 @st.composite

@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +38,40 @@ def contract_tensor(f: SymmetricSignature, M: Matrix2) -> SymmetricSignature:
     return SymmetricSignature(tuple(out))
 
 
+def holographic_rows(vals, a0, a1, b0, b1) -> np.ndarray:
+    """Reference numpy kernel of f . M^(x)d, as apply_holographic once ran
+    it: row i of vals (N, d+1) under the matrix whose entries are row i of
+    the (N, 1) columns a0, a1, b0, b1.  apply_holographic must keep its
+    bits."""
+    d = vals.shape[1] - 1
+    acc = np.zeros(vals.shape, dtype=complex)
+    for k in range(d + 1):
+        pa = linear_powers(a0, a1, d - k)
+        pb = linear_powers(b0, b1, k)
+        prod = np.zeros_like(acc)
+        for i in range(d - k + 1):
+            prod[:, i : i + k + 1] += pa[:, i : i + 1] * pb
+        acc += (math.comb(d, k) * vals[:, k])[:, None] * prod
+    return acc / np.array([math.comb(d, j) for j in range(d + 1)], dtype=float)
+
+
+def linear_powers(c0: np.ndarray, c1: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients of (c0 + c1 z)^n, one row per entry of the (N, 1) columns."""
+    return np.hstack([math.comb(n, i) * powu(c0, n - i) * powu(c1, i) for i in range(n + 1)])
+
+
+def powu(x: np.ndarray, n: int) -> np.ndarray:
+    """x**n by repeated squaring."""
+    out = np.ones_like(x)
+    mask = 1
+    while mask <= n:
+        if n & mask:
+            out = out * x
+        mask <<= 1
+        x = x * x
+    return out
+
+
 def random_matrix(rng):
     return Matrix2(*(rng.normal(size=4) + 1j * rng.normal(size=4)))
 
@@ -52,6 +88,54 @@ def test_apply_matches_tensor_contraction():
         slow = contract_tensor(f, M).as_complex()
         scale = max(1.0, np.max(np.abs(slow)))
         assert np.max(np.abs(fast - slow)) <= 1e-9 * scale
+
+
+def _entry(rng, kind):
+    if kind == "int":
+        return rng.randint(0, 9)
+    if kind == "fraction":
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    if kind == "float":
+        return rng.uniform(-3, 3)
+    return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+
+
+def _real_matrices(rng):
+    w = rng.uniform(-10, 10)
+    yield rotation_from_w(w, "delta0")
+    yield rotation_from_w(w, "delta1")
+    yield Matrix2.swap()
+    yield Matrix2(*(rng.gauss(0, 1) for _ in range(4)))
+
+
+def _reference(f, M, absolute=False):
+    vals = f.as_complex()[None, :]
+    cols = [np.array([[x]], dtype=complex) for x in (M.m00, M.m01, M.m10, M.m11)]
+    if absolute:
+        vals, cols = np.abs(vals).astype(complex), [np.abs(c).astype(complex) for c in cols]
+    return holographic_rows(vals, *cols)[0]
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float", "complex"])
+def test_apply_keeps_the_bits_of_the_reference_kernel(kind):
+    # every certificate, g' and estimate comes from these bits.  Real
+    # matrices, the only ones the evaluator and the classifier apply, give
+    # the same bits on any machine.  numpy fuses one multiply-add of a
+    # complex product where the CPU has FMA, so with complex matrices the
+    # reference's own last bits depend on the machine: there the scalar
+    # kernel, which rounds every product, is held to 8 ulps of the sum of
+    # the absolute terms
+    rng = random.Random(f"holographic-{kind}")
+    for _ in range(60):
+        d = rng.randint(1, 6)
+        f = SymmetricSignature(tuple(_entry(rng, kind) for _ in range(d + 1)))
+        for M in _real_matrices(rng):
+            got = apply_holographic(f, M).values
+            assert all(type(x) is complex for x in got)
+            assert np.array(got).tobytes() == _reference(f, M).tobytes()
+        M = Matrix2(*(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)))
+        got = np.array(apply_holographic(f, M).values)
+        assert np.all(np.abs(got - _reference(f, M)) <= 8 * 2.0**-52 * _reference(f, M, absolute=True).real)
 
 
 def test_apply_diagonal_scales_by_weight():
