@@ -14,6 +14,7 @@ on stdout and a JSON refusal on stderr.  ``approx`` reports
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -226,7 +227,9 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first call and reused after it."""
     ap = argparse.ArgumentParser(prog="holant", description=__doc__)
     ap.add_argument("--quiet", action="store_true", help="print only the scalar outcome")
     ap.add_argument("--timing", action="store_true", help="include wall time in reports")
@@ -277,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except GuardExceeded as exc:

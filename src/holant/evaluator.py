@@ -34,25 +34,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import STABLE_TRANSFORM, ClassificationOutcome, classify
-from .coeffs import (  # power_sums_from_coeffs: bench/tracing.py wraps it here by name
-    ADDITIVE_K_GUARD,
+# imported for bench/tracing.py, which wraps additive_power_sums,
+# coeffs_from_power_sums and power_sums_from_coeffs here by name; the
+# evaluator calls only naive_low_coeffs
+from .coeffs import (  # noqa: F401
     additive_power_sums,
     coeffs_from_power_sums,
     naive_low_coeffs,
-    power_sums_from_coeffs,  # noqa: F401
+    power_sums_from_coeffs,
 )
 from .errors import ArgumentError, GuardExceeded, HolantError
 from .graphs import Multigraph
 from .signatures import SymmetricSignature, local_polynomial, reverse
 from .stability import DELTA_CAP, Poly, find_roots, h_eps_stability, strip_halfwidth
-from .transform import (
-    Matrix2,
-    StableTransform,
-    apply_holographic,
-    cast_real,
-    rotation_from_w,
-    rotation_margins,
-)
+from .transform import Matrix2, apply_holographic, cast_real, margin_search
 
 # Largest edge count the evaluator takes.  Rung verdicts rest on the
 # roots of P_G, which the companion matrix resolves only to about 60 edges
@@ -72,9 +67,6 @@ FLOOR_C = 1.5
 # a rung is trusted a priori only if every P_G-root preimage clears the
 # unit disk by this factor
 ROOT_CLEARANCE = 1.02
-
-# margins closer than this are ties in the margin search
-MARGIN_TIE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -349,7 +341,7 @@ class _Attempt:
         if self.cert is None:
             raise HolantError("transformed local polynomial failed the stability check")
         self.delta_cert = strip_halfwidth(self.cert.eps)
-        self.c, self.engine = _coefficient_prefix(g, self.gprime)
+        self.c = _coefficient_prefix(g, self.gprime)
         self.rungs, self.verdicts = _build_rungs(self.delta_cert, self.c)
         # the ladder is only the certain-divergence last resort
         self.doomed = all(verdict == "doomed" for _, verdict, _ in self.verdicts)
@@ -430,7 +422,7 @@ def approximate_Z(
     # a ladder outcome: (attempt, T, phi, k_used, sound, accepted) or None
     chosen = None if constructive.doomed else constructive.run_ladder(eps, k0)
     if not _accepted(chosen):
-        alt = _margin_search(f)
+        alt = margin_search(f)
         if alt is not None and alt.certificate.margin > 1.05 * constructive.cert.margin:
             built.append(_Attempt(g, f, alt.matrix, alt.use_reversal, "margin-search"))
             out = built[-1].run_ladder(eps, k0)
@@ -461,7 +453,6 @@ def approximate_Z(
         estimates = scale_pow * np.exp(T[:k_used])
     diagnostics = {
         "estimates": estimates,
-        "engine": attempt.engine,
         "phi_alpha": phi.alpha,
         "phi_order": phi.order,
         "rung_sound": sound,
@@ -490,59 +481,6 @@ def _accepted(out) -> bool:
     return out is not None and out[-1]
 
 
-def _margin_search(f: SymmetricSignature):
-    """Margin-maximizing orthogonal transform over the rotation family.
-
-    Deterministic two-stage sweep of the rotation angle (both matrix
-    conventions, f and its reversal); the classifier's constructive choice
-    is kept for classification, this only serves the evaluator when a
-    larger margin is needed to open up a usable rung.  ``rotation_margins``
-    ranks each stage's candidates; the certificate comes from
-    ``h_eps_stability``.  Should it reject the winner, the other ranked
-    candidates are tried in decreasing margin order.  A stage costs one
-    root solve: ``rotation_margins`` moves f's own roots by each
-    candidate's Moebius map.
-
-    (w, delta0, reversal) and (-w, delta1, f) are the same transform: the
-    reversal swaps the two variables of f's binary form, and that swap
-    turns the rows of delta0(w) into delta1(-w).  The sweep's angles are
-    symmetric about 0, so its candidates come in mirrored pairs whose
-    margins differ only by the rounding of the angles.  Near its optimum
-    a margin is accurate to about 1e-8, so a candidate replaces the best
-    only when it beats it by more than that.  Ties thus go to the first
-    candidate in sweep order: by angle, then delta0 before delta1, then f
-    before its reversal.
-    """
-    best = None  # (margin, theta, convention, use_reversal)
-    ranked = []
-    thetas = np.linspace(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, 157)
-    for _stage in range(2):
-        grid = [(float(th), conv, use_rev) for th in thetas for conv in ("delta0", "delta1") for use_rev in (False, True)]
-        margins = rotation_margins(f, [(math.tan(th), conv, use_rev) for th, conv, use_rev in grid])
-        for cand, margin in zip(grid, margins):
-            if margin > -math.inf:
-                ranked.append((margin, *cand))
-                if best is None or margin > best[0] + MARGIN_TIE:
-                    best = ranked[-1]
-        if best is None:
-            return None
-        step = thetas[1] - thetas[0]
-        thetas = np.linspace(best[1] - step, best[1] + step, 41)
-    for _, th, conv, use_rev in _best_first(best, ranked):
-        M = rotation_from_w(math.tan(th), conv)
-        cert = h_eps_stability(local_polynomial(apply_holographic(reverse(f) if use_rev else f, M)))
-        if cert is not None:
-            return StableTransform(M, use_rev, cert)
-    return None
-
-
-def _best_first(best, ranked):
-    """best, then the other ranked candidates by decreasing margin (sorted
-    only if asked for)."""
-    yield best
-    yield from sorted((cand for cand in ranked if cand is not best), key=lambda cand: -cand[0])
-
-
 def _coefficient_prefix(g: Multigraph, gprime: SymmetricSignature):
     """All of Z_0..Z_m of P_G for the normalized signature.
 
@@ -551,12 +489,8 @@ def _coefficient_prefix(g: Multigraph, gprime: SymmetricSignature):
     prefix is tried: every rung's convergence floor exceeds what a short
     prefix holds, and rung soundness needs the roots of all of P_G.
     """
-    m = g.m
-    if m <= ADDITIVE_K_GUARD and g.is_simple:
-        p = additive_power_sums(g, gprime, m)
-        return np.real(coeffs_from_power_sums(p, m)), "additive"
-    c = naive_low_coeffs(g, gprime, m)
-    return np.asarray([float(np.real(x)) for x in c]), "naive"
+    c = naive_low_coeffs(g, gprime, g.m)
+    return np.asarray([float(np.real(x)) for x in c])
 
 
 def _build_rungs(delta_cert: float, full_coeffs):

@@ -185,7 +185,6 @@ def approx_to_json(res: ApproxResult) -> dict:
         "converged": res.converged,
         "diagnostics": {
             "stop_window": [float(x) for x in window],
-            "engine": res.diagnostics["engine"],
             "rung_sound": res.diagnostics["rung_sound"],
             "rungs_tried": res.diagnostics["rungs_tried"],
             "self_check": res.diagnostics["self_check"],

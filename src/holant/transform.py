@@ -4,7 +4,8 @@ A transform M acts on a symmetric signature f of arity d as f . M^(x)d.
 Orthogonal M (M M^T = I) preserve the binary equality on edges and hence
 the partition function; `find_stabilizing_transform` constructs an
 orthogonal M making the transformed local polynomial half-plane stable,
-following the discriminant case analysis of second-order recurrences.
+following the discriminant case analysis of second-order recurrences,
+and falls back to `margin_search`, the one sweep of the rotation family.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ ORTHO_TOL = 1e-10
 # numerically (misrouting toward "try the transform" is safe, misrouting
 # toward "tractable" is not)
 STRUCT_TOL = 1e-9
-# imaginary residue allowed when casting transformed signatures to reals
-CAST_TOL = 1e-9
-
-GRID_LIMIT = 10.0
-GRID_POINTS = 2001
+# relative size (against the largest entry) at which a part of a
+# transformed entry is rounding residue: cast_real zeroes such real parts
+# and refuses any larger imaginary part
+CAST_TOL = 1e-12
+# margins closer than this are ties in the margin search
+MARGIN_TIE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -166,13 +168,21 @@ def _powu(x: complex, n: int) -> complex:
 
 
 def cast_real(f: SymmetricSignature, tol: float = CAST_TOL) -> SymmetricSignature:
-    """Drop imaginary parts that are pure float noise; error beyond tol."""
+    """The real signature of f with its rounding residue dropped.
+
+    A real or imaginary part of at most tol times the largest entry
+    modulus is residue.  Residue real parts become 0: where the
+    distinct-root construction makes an entry vanish, floats leave about
+    1e-16, and the companion matrix would turn that into a root near
+    +-1e16 and fail a stable transform.  Imaginary parts must all be
+    residue; a larger one raises CastError.
+    """
     vals = f.as_complex()
-    scale = max(1e-300, float(np.max(np.abs(vals))))
+    bound = tol * max(1e-300, float(np.max(np.abs(vals))))
     worst = float(np.max(np.abs(vals.imag)))
-    if worst > tol * scale:
+    if worst > bound:
         raise CastError(f"imaginary residue {worst:.2e} exceeds tolerance")
-    return SymmetricSignature(tuple(float(x) for x in vals.real))
+    return SymmetricSignature(tuple(0.0 if abs(x) <= bound else float(x) for x in vals.real))
 
 
 def transform_equality(M: Matrix2) -> BinarySignature:
@@ -344,9 +354,10 @@ class StableTransform:
 
 
 def _validate(f: SymmetricSignature, M: Matrix2, use_reversal: bool):
+    """The stability certificate of the signature the evaluator evaluates,
+    cast_real of (f or its reversal) . M^(x)d; None when it is not stable."""
     target = reverse(f) if use_reversal else f
-    g = apply_holographic(target, M)
-    return h_eps_stability(local_polynomial(g))
+    return h_eps_stability(local_polynomial(cast_real(apply_holographic(target, M))))
 
 
 def _lemma_w_distinct(pd: PairDecomposition):
@@ -411,10 +422,9 @@ def find_stabilizing_transform(f: SymmetricSignature, triple: RecurrenceTriple =
 
     The constructive choice follows the discriminant of the recurrence:
     negative -> identity already works; zero -> repeated-root w; positive ->
-    distinct-root w from the tensor pair.  Every candidate is validated
-    numerically; on failure a deterministic grid search over w in [-10, 10]
-    (2001 points, both conventions, f and its reversal) runs before giving
-    up.  Smallest |w| wins ties, then the positive sign.
+    distinct-root w from the tensor pair.  The candidate is validated
+    numerically; when there is none, or it fails, the result is that of
+    ``margin_search``, the one rotation sweep.
     """
     if not f.is_nonnegative:
         raise ArgumentError("stabilizing transform needs non-negative entries")
@@ -423,45 +433,84 @@ def find_stabilizing_transform(f: SymmetricSignature, triple: RecurrenceTriple =
     t = triple if triple is not None else detect_recurrence(f)
     if t is None:
         raise ArgumentError("signature has no second-order recurrence")
+    candidate = _construction(f, t)
+    if candidate is not None:
+        cert = _validate(f, *candidate)
+        if cert is not None:
+            return StableTransform(*candidate, cert)
+    return margin_search(f)
 
-    candidates = []
+
+def _construction(f: SymmetricSignature, t: RecurrenceTriple):
+    """(M, use_reversal) of the paper's construction for f, or None where
+    its preconditions fail."""
     disc = t.discriminant
     scale = max(abs(t.a), abs(t.b), abs(t.c))
     if disc < -STRUCT_TOL * scale * scale:
-        candidates.append((Matrix2.identity(), False))
-    elif disc <= STRUCT_TOL * scale * scale:
+        return Matrix2.identity(), False
+    if disc <= STRUCT_TOL * scale * scale:
         w = _lemma_w_repeated(f, t)
-        if w is not None:
-            candidates.append((rotation_from_w(w, "delta0"), False))
-    else:
-        try:
-            pd = pair_decompose(f, t)
-            sums = pd.sums()
-            if abs(pd.cross) > STRUCT_TOL * max(sums) and abs(sums[0] - sums[1]) > STRUCT_TOL * max(sums):
-                w, swap = _lemma_w_distinct(pd)
-                candidates.append((rotation_from_w(w, "delta1"), swap))
-        except ArgumentError:
-            pass
-
-    for M, use_rev in candidates:
-        cert = _validate(f, M, use_rev)
-        if cert is not None:
-            return StableTransform(M, use_rev, cert)
-
-    for w in _grid_values():
-        for use_rev in (False, True):
-            for conv in ("delta0", "delta1"):
-                M = rotation_from_w(w, conv)
-                cert = _validate(f, M, use_rev)
-                if cert is not None:
-                    return StableTransform(M, use_rev, cert)
+        return None if w is None else (rotation_from_w(w, "delta0"), False)
+    try:
+        pd = pair_decompose(f, t)
+        sums = pd.sums()
+        if abs(pd.cross) > STRUCT_TOL * max(sums) and abs(sums[0] - sums[1]) > STRUCT_TOL * max(sums):
+            w, swap = _lemma_w_distinct(pd)
+            return rotation_from_w(w, "delta1"), swap
+    except ArgumentError:
+        pass
     return None
 
 
-def _grid_values():
-    step = 2.0 * GRID_LIMIT / (GRID_POINTS - 1)
-    yield 0.0
-    n = (GRID_POINTS - 1) // 2
-    for i in range(1, n + 1):
-        yield i * step
-        yield -i * step
+def margin_search(f: SymmetricSignature):
+    """Margin-maximizing orthogonal transform over the rotation family.
+
+    Deterministic two-stage sweep of the rotation angle (both matrix
+    conventions, f and its reversal).  It is the classifier's fallback
+    when the construction fails its check, and the evaluator's retry when
+    a larger margin is needed to open up a usable rung.
+    ``rotation_margins`` ranks each stage's candidates; the certificate
+    comes from ``_validate``, on the signature the evaluator evaluates.
+    Should it reject the winner, the other ranked candidates are tried in
+    decreasing margin order.  A stage costs one root solve:
+    ``rotation_margins`` moves f's own roots by each candidate's Moebius
+    map.
+
+    (w, delta0, reversal) and (-w, delta1, f) are the same transform: the
+    reversal swaps the two variables of f's binary form, and that swap
+    turns the rows of delta0(w) into delta1(-w).  The sweep's angles are
+    symmetric about 0, so its candidates come in mirrored pairs whose
+    margins differ only by the rounding of the angles.  Near its optimum
+    a margin is accurate to about 1e-8, so a candidate replaces the best
+    only when it beats it by more than that.  Ties thus go to the first
+    candidate in sweep order: by angle, then delta0 before delta1, then f
+    before its reversal.
+    """
+    best = None  # (margin, theta, convention, use_reversal)
+    ranked = []
+    thetas = np.linspace(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, 157)
+    for _stage in range(2):
+        grid = [(float(th), conv, use_rev) for th in thetas for conv in ("delta0", "delta1") for use_rev in (False, True)]
+        margins = rotation_margins(f, [(math.tan(th), conv, use_rev) for th, conv, use_rev in grid])
+        for cand, margin in zip(grid, margins):
+            if margin > -math.inf:
+                ranked.append((margin, *cand))
+                if best is None or margin > best[0] + MARGIN_TIE:
+                    best = ranked[-1]
+        if best is None:
+            return None
+        step = thetas[1] - thetas[0]
+        thetas = np.linspace(best[1] - step, best[1] + step, 41)
+    for _, th, conv, use_rev in _best_first(best, ranked):
+        M = rotation_from_w(math.tan(th), conv)
+        cert = _validate(f, M, use_rev)
+        if cert is not None:
+            return StableTransform(M, use_rev, cert)
+    return None
+
+
+def _best_first(best, ranked):
+    """best, then the other ranked candidates by decreasing margin (sorted
+    only if asked for)."""
+    yield best
+    yield from sorted((cand for cand in ranked if cand is not best), key=lambda cand: -cand[0])

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -157,3 +158,36 @@ def test_cubic_signatures_always_have_a_tag():
         f = signature(rng.uniform(0, 2, size=4))
         out = classify(f)
         assert out.tag != "NoRecurrence"
+
+
+@pytest.mark.parametrize("vals", [[1, 39.1393, 0, 1.7058], [1, 48.9523, 0, 1.2439]])
+def test_a_construction_that_a_grid_missed_classifies(vals):
+    # the construction's w is 0.0085 and 0.0068: a sweep of w in steps of
+    # 0.01 misses the stable window
+    assert classify(signature(vals)).tag == "StableTransform"
+
+
+def seeded_signatures(n: int, seed: int = 1) -> list:
+    """n non-negative signatures of arity 3-6 with f_0 > 0.  Half the
+    arity-3 draws are [1] + 3 entries, each 0 or uniform on [0, 3],
+    [0, 50] or [0, 1e3]; the others are x a^k + y b^k, redrawn until
+    non-negative."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        d = rng.choice((3, 3, 4, 5, 6))
+        if d == 3 and rng.random() < 0.5:
+            out.append([1.0] + [rng.choice((0.0, rng.uniform(0, 3), rng.uniform(0, 50), rng.uniform(0, 1e3))) for _ in range(3)])
+            continue
+        a, b = rng.uniform(-3, 4), rng.uniform(-3, 4)
+        x, y = rng.uniform(0.1, 2), rng.uniform(-1, 2)
+        vals = [x * a**k + y * b**k for k in range(d + 1)]
+        if min(vals) >= 0 and vals[0] > 0:
+            out.append(vals)
+    return out
+
+
+def test_seeded_signatures_all_classify():
+    # about 1.5% of such draws once failed the construction's own check
+    tags = {classify(signature(vals)).tag for vals in seeded_signatures(500)}
+    assert "StableTransform" in tags and "NoRecurrence" not in tags

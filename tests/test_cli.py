@@ -326,3 +326,17 @@ def test_the_stop_window_of_a_short_record_starts_at_index_1():
     res = dataclasses.replace(ev.approximate_Z(complete(4), signature([1, 1, 0, 0]), 0.05), k_used=2)
     first, second = (float(x) for x in res.diagnostics["estimates"][:2])
     assert approx_to_json(res)["diagnostics"]["stop_window"] == [first, first, first, second]
+
+
+def test_approx_of_a_construction_that_a_grid_missed_reports(capsys, files):
+    # once refused at classification (exit 1); now it is classified, and
+    # every rung of its transform is doomed on this graph, so the run
+    # reports an unconverged estimate
+    sig = files["dir"] / "f.sig"
+    sig.write_text("sig d=3 [1,39.1393,0,1.7058]\n")
+    graph = files["dir"] / "g.graph"
+    graph.write_text(dump_graph(random_regular(8, 3, 1)))
+    code, out, err = run(capsys, "approx", str(sig), str(graph))
+    assert code == 6 and not err
+    outcome = json.loads(out)["outcome"]
+    assert outcome["classification"] == "StableTransform" and outcome["converged"] is False

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import holant.evaluator as ev
+import holant.transform as tr
 from holant import stability
 from holant.classify import classify
 from holant.coeffs import power_sums_from_coeffs
@@ -88,7 +89,7 @@ def scalar_margin_search(f):
                 for use_rev in (False, True):
                     M = rotation_from_w(math.tan(th), conv)
                     cert = h_eps_stability(local_polynomial(apply_holographic(rev if use_rev else f, M)))
-                    if cert is not None and (best is None or cert.margin > best[0] + ev.MARGIN_TIE):
+                    if cert is not None and (best is None or cert.margin > best[0] + tr.MARGIN_TIE):
                         best = (cert.margin, float(th), conv, use_rev)
         step = thetas[1] - thetas[0]
         thetas = np.linspace(best[1] - step, best[1] + step, 41)
@@ -440,7 +441,7 @@ def test_a_margin_search_solves_f_once_per_stage(monkeypatch):
     monkeypatch.setattr(stability, "_companion_roots", counted)
     for vals in ([1, 2, 3, 4], [1, 1, 0, 0, 0]):
         rows.clear()
-        assert ev._margin_search(signature(vals)) is not None
+        assert tr.margin_search(signature(vals)) is not None
         assert sum(rows) <= 3
 
 
@@ -448,7 +449,7 @@ def test_a_margin_search_solves_f_once_per_stage(monkeypatch):
 def test_margin_search_picks_what_the_scalar_sweep_picks(vals):
     f = signature(vals)
     margin, th, conv, use_rev = scalar_margin_search(f)
-    got = ev._margin_search(f)
+    got = tr.margin_search(f)
     assert got.matrix == rotation_from_w(math.tan(th), conv)
     assert got.use_reversal == use_rev
     assert got.certificate.margin == margin
@@ -460,38 +461,38 @@ def test_margin_search_winner_survives_noise_below_the_tie_slack(monkeypatch):
     # pair, split by rounding.  Noise that swaps the pair's order, leaving
     # it as close as before, must not move the winner.
     f = signature([1, 2, 3, 4])
-    want = ev._margin_search(f)
+    want = tr.margin_search(f)
     thetas = np.linspace(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, 157)
     grid = [(math.tan(th), conv, rev) for th in thetas for conv in ("delta0", "delta1") for rev in (False, True)]
-    margins = ev.rotation_margins(f, grid)
+    margins = tr.rotation_margins(f, grid)
     top = int(np.argmax(margins))
     mirror = len(grid) - 1 - top  # the grid is symmetric under this reflection
     gap = margins[top] - margins[mirror]
-    assert 0 < gap < ev.MARGIN_TIE
-    exact = ev.rotation_margins
+    assert 0 < gap < tr.MARGIN_TIE
+    exact = tr.rotation_margins
 
     def noisy(f, cands):
         return [m - 2 * gap if rev == grid[top][2] else m for m, (_, _, rev) in zip(exact(f, cands), cands)]
 
-    monkeypatch.setattr(ev, "rotation_margins", noisy)
-    got = ev._margin_search(f)
+    monkeypatch.setattr(tr, "rotation_margins", noisy)
+    got = tr.margin_search(f)
     assert got.matrix == want.matrix
     assert got.use_reversal == want.use_reversal
 
 
 def test_margin_search_tries_the_runner_up_when_the_winner_is_rejected(monkeypatch):
     f = signature([1, 2, 3, 4])
-    winner = ev._margin_search(f)
+    winner = tr.margin_search(f)
     certified = []
 
     def reject_first(poly):
         certified.append(poly)
         return None if len(certified) == 1 else h_eps_stability(poly)
 
-    monkeypatch.setattr(ev, "h_eps_stability", reject_first)
-    got = ev._margin_search(f)
+    monkeypatch.setattr(tr, "h_eps_stability", reject_first)
+    got = tr.margin_search(f)
     assert len(certified) == 2
     assert got.matrix != winner.matrix
     assert 0 < got.certificate.margin <= winner.certificate.margin
-    monkeypatch.setattr(ev, "h_eps_stability", lambda poly: None)
-    assert ev._margin_search(f) is None
+    monkeypatch.setattr(tr, "h_eps_stability", lambda poly: None)
+    assert tr.margin_search(f) is None

@@ -5,15 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import holant.transform as tr
+from holant.classify import classify
 from holant.errors import ArgumentError, CastError
 from holant.graphs import brute_force_Z, random_regular
-from holant.signatures import SymmetricSignature, local_polynomial, reverse, signature
+from holant.signatures import SymmetricSignature, detect_recurrence, local_polynomial, reverse, signature
 from holant.stability import find_roots
 from holant.transform import (
     Matrix2,
     apply_holographic,
     cast_real,
     find_stabilizing_transform,
+    pair_decompose,
     rotation_from_w,
     transform_equality,
 )
@@ -243,6 +246,15 @@ def test_cast_real():
         cast_real(SymmetricSignature((1 + 0.1j, 2.0)))
 
 
+def test_cast_real_zeroes_real_rounding_residue():
+    # one tolerance, CAST_TOL = 1e-12 of the largest entry, for both parts
+    f = SymmetricSignature((2.0, 2e-13, 1.0, -2e-13))
+    assert cast_real(f).values == (2.0, 0.0, 1.0, 0.0)
+    assert cast_real(SymmetricSignature((2.0, 2e-11, 1.0))).values == (2.0, 2e-11, 1.0)
+    with pytest.raises(CastError):
+        cast_real(SymmetricSignature((2.0, 1.0 + 2e-11j)))
+
+
 def stable_roots(f, st):
     target = reverse(f) if st.use_reversal else f
     g = apply_holographic(target, st.matrix)
@@ -279,6 +291,31 @@ def test_stabilize_repeated_root():
     st = find_stabilizing_transform(f)
     assert st is not None
     assert all(r.real < 0 for r in stable_roots(f, st))
+
+
+def test_distinct_roots_take_the_papers_rotation():
+    # in floats the construction leaves g_3 of [1,2,1,1] at a rounding
+    # residue, whose companion root near +-1e16 once failed the check
+    f = signature([1, 2, 1, 1])
+    w, swap = tr._lemma_w_distinct(pair_decompose(f, detect_recurrence(f)))
+    out = classify(f)
+    assert out.matrix == rotation_from_w(w, "delta1") != Matrix2.identity()
+    assert out.use_reversal == swap
+    assert cast_real(apply_holographic(f, out.matrix)).values[3] == 0.0
+
+
+def test_a_rejected_construction_falls_back_to_the_margin_search(monkeypatch):
+    f = signature([1, 2, 1, 1])
+    constructive, want = find_stabilizing_transform(f), tr.margin_search(f)
+    validate = tr._validate
+    monkeypatch.setattr(tr, "_validate", lambda g, M, rev: None if M == constructive.matrix else validate(g, M, rev))
+    got = find_stabilizing_transform(f)
+    assert got.matrix == want.matrix != constructive.matrix
+    assert (got.use_reversal, got.certificate.margin) == (want.use_reversal, want.certificate.margin)
+    # the margin search certifies through _validate too: rejecting every
+    # candidate leaves nothing
+    monkeypatch.setattr(tr, "_validate", lambda g, M, rev: None)
+    assert find_stabilizing_transform(f) is None
 
 
 def test_stabilize_requires_positive_head():
