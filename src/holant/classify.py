@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ArgumentError, HolantError
+from .errors import ArgumentError, GuardExceeded, HolantError, InconsistentRecurrence
 from .signatures import (
     RecurrenceTriple,
     SymmetricSignature,
@@ -118,16 +118,23 @@ def classify(f: SymmetricSignature) -> ClassificationOutcome:
     if disc <= STRUCT_TOL * tscale * tscale:
         # disc < 0: the local polynomial is already stable (identity works);
         # disc = 0: the repeated-root construction; both live in the helper
-        st = find_stabilizing_transform(g, t)
-        if st is None:
-            raise HolantError("stabilizing transform construction failed numerically")
-        return ClassificationOutcome(
-            STABLE_TRANSFORM,
-            matrix=st.matrix,
-            use_reversal=rev ^ st.use_reversal,
-            certificate=st.certificate,
-        )
+        return _stable_transform(g, t, rev)
     return _classify_positive_disc(f, g, t, rev)
+
+
+def _stable_transform(g: SymmetricSignature, t: RecurrenceTriple, rev: bool) -> ClassificationOutcome:
+    """The StableTransform outcome for normalized g.  Valid input whose
+    transform no candidate validates is refused (GuardExceeded), not
+    reported as bad input."""
+    st = find_stabilizing_transform(g, t)
+    if st is None:
+        raise GuardExceeded("stabilizing transform construction failed numerically")
+    return ClassificationOutcome(
+        STABLE_TRANSFORM,
+        matrix=st.matrix,
+        use_reversal=rev ^ st.use_reversal,
+        certificate=st.certificate,
+    )
 
 
 def _classify_positive_disc(
@@ -143,22 +150,18 @@ def _classify_positive_disc(
     degenerate_params = {"ratio": ratio, "pair": (1.0, ratio)}
     if np.max(np.abs(gv - geo)) <= STRUCT_TOL * max(1.0, np.max(np.abs(gv))):
         return ClassificationOutcome(DEGENERATE, params=degenerate_params)
-    pd = pair_decompose(g, t)
+    try:
+        pd = pair_decompose(g, t)
+    except InconsistentRecurrence as exc:
+        # the triple came from f itself: an ill-conditioned fit, not bad input
+        raise GuardExceeded(f"tensor pair decomposition failed numerically: {exc}") from None
     sum1, sum2 = pd.sums()
     big = max(sum1, sum2)
     if abs(pd.cross) <= STRUCT_TOL * big:
         return ClassificationOutcome(DEGENERATE, params=degenerate_params)
     if abs(sum1 - sum2) <= STRUCT_TOL * big:
         return _classify_equal_norms(f, g, pd, rev)
-    st = find_stabilizing_transform(g, t)
-    if st is None:
-        raise HolantError("stabilizing transform construction failed numerically")
-    return ClassificationOutcome(
-        STABLE_TRANSFORM,
-        matrix=st.matrix,
-        use_reversal=rev ^ st.use_reversal,
-        certificate=st.certificate,
-    )
+    return _stable_transform(g, t, rev)
 
 
 def _classify_equal_norms(

@@ -7,7 +7,8 @@ scalar outcome.  Exit codes: 0 success, 1 bad input, 2 guard refusal,
 5 open sine-profile label, 6 approximation not converged (the report is
 still printed, with ``converged: false``).  An outcome that is not finite
 in double precision (say, Z past 1.8e308) is refused with exit 2: nothing
-on stdout and a JSON refusal on stderr.  ``approx`` reports
+on stdout and a JSON refusal on stderr.  So is valid input on which a
+numerical step fails; exit 1 is for malformed input only.  ``approx`` reports
 ``log_estimate``, the natural log of |estimate|, which stays finite there.
 """
 

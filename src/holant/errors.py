@@ -10,7 +10,8 @@ class ArgumentError(HolantError, ValueError):
 
 
 class GuardExceeded(HolantError, RuntimeError):
-    """A work guard (edge count, contraction size, dangling count, truncation order) was exceeded."""
+    """A work guard (edge count, contraction size, dangling count, truncation order) was
+    exceeded, or a numerical step failed on valid input: the run is refused."""
 
 
 class ExceptionalSignature(ArgumentError):

@@ -6,23 +6,23 @@ polynomial P_G exactly, take the Taylor coefficients of log P_G(phi(z))
 for the disk-to-strip map phi by the trapezoidal rule on one circle, and
 exponentiate the truncated series at 1.
 
-The phi parameter is chosen adaptively.  The certified strip half-width
-(eps^2/2 from the stability margin) is typically far too small to be
-computable: the number of Taylor terms needed scales like exp(1/delta), so
-a certified delta below ~0.25 cannot converge within any practical budget.
-Instead a descending ladder of phi parameters is tried, each validated a
-posteriori: at oracle scale the exact roots of P_G are available from the
-coefficient prefix itself, and a ladder rung is trusted only when every
-root's preimage under phi stays outside the closed unit disk.  A
-stabilization test on the successive estimates (with a floor tied to the
-rung's own convergence scale) decides acceptance.
+The phi parameter is fitted to the roots of P_G.  The certified strip
+half-width (eps^2/2 from the stability margin) is typically far too small
+to be computable: the number of Taylor terms needed scales like
+exp(1/delta), so a certified delta below ~0.25 cannot converge within any
+practical budget.  At oracle scale the exact roots of P_G are available
+from the coefficient prefix itself, and each transform gets one rung: the
+largest phi parameter in [DP_MIN, DELTA_CAP/2] whose root preimages clear
+the unit disk by ROOT_CLEARANCE, found by bisection (or the certified
+parameter, when it is affordable and larger).  A stabilization test on the
+successive estimates (with a floor tied to the rung's own convergence
+scale) decides acceptance.
 
-A rung with a root preimage strictly inside the disk is doomed.  When a
-transform's candidates are all doomed its ladder holds only the smallest
-of them, as a best-effort record; for the constructive transform that
-ladder runs last, after the margin search, and only when no ladder was
-accepted.  A doomed ladder's record is never converged, even where its
-stop test fires.
+When no parameter clears, the transform is doomed: its rung at DP_MIN
+gives a best-effort record only.  For the constructive transform that
+rung runs last, after the margin search, and only when no rung was
+accepted.  A doomed rung's record is never converged, even where its stop
+test fires.
 """
 
 from __future__ import annotations
@@ -59,9 +59,10 @@ EDGE_LIMIT = 40
 # polynomial is represented lazily (prefix on demand, closed-form values)
 MATERIALIZE_LIMIT = 1_000_000
 
-# ladder of phi parameters (half the strip width each), descending; the
-# truncation order needed to resolve a rung scales like exp(1/parameter)
-DEFAULT_RUNGS = (0.225, 0.185, 0.155, 0.125)
+# the smallest phi parameter (half the strip width) a rung takes: the
+# truncation order needed scales like exp(1/parameter), and this one's
+# floor, 4,472 terms, is about 0.75 K_GUARD
+DP_MIN = 0.125
 K_GUARD = 6000
 FLOOR_C = 1.5
 # a rung is trusted a priori only if every P_G-root preimage clears the
@@ -218,22 +219,35 @@ class ApproxResult:
 
 def _rung_floor(dp: float) -> int:
     # the truncation order at which the phi-map's own singularity resolves
-    if 1.0 / dp > math.log(1e18 / FLOOR_C):
-        return 10**18
     return int(math.ceil(FLOOR_C * math.exp(1.0 / dp)))
 
 
-def _rung_feasible(dp: float) -> bool:
-    return 1.0 / dp <= math.log(0.75 * K_GUARD / FLOOR_C)
+def _root_clearance(roots: np.ndarray, dp: float) -> float:
+    """min |phi^-1(r)| = |(1 - exp(-r/dp)) / alpha| over the roots r of P_G.
 
-
-def _root_clearance(roots: np.ndarray, dp: float, alpha: float) -> float:
-    """min |phi^-1(r)| over the roots r of P_G, for the rung's phi."""
+    phi(z) = -dp log(1 - alpha z) takes the principal log, so its image
+    lies in |Im| < pi dp: a root with |Im r| >= pi dp has no preimage
+    (exp would wrap it around onto a false one)."""
+    roots = roots[np.abs(roots.imag) < math.pi * dp]
     with np.errstate(over="ignore", invalid="ignore"):
-        w = (1.0 - np.exp(-roots / dp)) / alpha
-    mags = np.abs(w)
+        mags = np.abs(np.expm1(-roots / dp) / math.expm1(-1.0 / dp))
     mags[~np.isfinite(mags)] = math.inf
     return float(np.min(mags)) if len(mags) else math.inf
+
+
+def _fit_rung(roots: np.ndarray):
+    """The largest phi parameter in [DP_MIN, DELTA_CAP/2] whose root
+    preimages clear the unit disk by ROOT_CLEARANCE, by bisection; None
+    when DP_MIN does not clear."""
+    lo, hi = DP_MIN, DELTA_CAP / 2.0
+    if _root_clearance(roots, hi) >= ROOT_CLEARANCE:
+        return hi
+    if _root_clearance(roots, lo) < ROOT_CLEARANCE:
+        return None
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _root_clearance(roots, mid) >= ROOT_CLEARANCE else (lo, mid)
+    return lo
 
 
 def _series_estimates(c, phi: PhiMap, k: int):
@@ -325,7 +339,7 @@ def _scan_stop(T: np.ndarray, eps: float, floor: int):
 
 
 class _Attempt:
-    """One transform's full evaluation state: prefix, rungs, ladder scan."""
+    """One transform's full evaluation state: prefix, rung, rung scan."""
 
     def __init__(self, g: Multigraph, f: SymmetricSignature, matrix: Matrix2, use_rev: bool, label: str):
         h = reverse(f) if use_rev else f
@@ -342,43 +356,41 @@ class _Attempt:
             raise HolantError("transformed local polynomial failed the stability check")
         self.delta_cert = strip_halfwidth(self.cert.eps)
         self.c = _coefficient_prefix(g, self.gprime)
-        self.rungs, self.verdicts = _build_rungs(self.delta_cert, self.c)
-        # the ladder is only the certain-divergence last resort
-        self.doomed = all(verdict == "doomed" for _, verdict, _ in self.verdicts)
+        self.verdict = _fit_attempt_rung(self.delta_cert, self.c)
+        self.dp, kind, _ = self.verdict
+        self.doomed = kind == "doomed"
 
-    def run_ladder(self, eps: float, k0: int):
-        """(self, T, phi, k, sound, accepted_flag) for the first stabilized
-        rung, else for the most stable attempt seen; None when every rung
-        overflowed at once.  A doomed ladder's stop is never an acceptance:
-        its series diverges, however settled its first terms look.  Nor is
-        a stop on a rung whose P(phi(z)) has a zero inside |z| = 1 - 11/k:
-        that zero lies in the unit disk, so the series at 1 diverges at
-        every k, and the rung ends at that call, its record kept as a best
-        effort only."""
+    def run(self, eps: float, k0: int):
+        """(self, T, phi, k, accepted_flag) for the rung's first stop, else
+        for its most stable record; None when every call overflowed at
+        once.  A doomed rung's stop is never an acceptance: its series
+        diverges, however settled its first terms look.  Nor is a stop
+        where P(phi(z)) has a zero inside |z| = 1 - 11/k: that zero lies in
+        the unit disk, so the series at 1 diverges at every k, and the rung
+        ends at that call, its record kept as a best effort only."""
         fallback = None
-        for dp, sound in self.rungs:
-            phi = build_phi(dp)
-            floor = _rung_floor(dp)
-            k = min(max(k0, floor), K_GUARD)
-            while True:
-                T, zeros = _series_estimates(self.c, phi, k)
-                j = _scan_stop(T, eps, floor)
-                if j is not None and not zeros:
-                    return self, T, phi, j, sound, not self.doomed
-                if j is None:  # best-effort record: the longest representable prefix
-                    finite = np.isfinite(T) & (np.abs(T) < 700.0)
-                    j = int(np.argmin(finite)) if not finite.all() else k
-                if j >= 2:
-                    tail = abs(float(T[j - 1] - T[j - 2]))
-                    if fallback is None or tail < fallback[0]:
-                        fallback = (tail, T[:j], phi, j, sound)
-                if zeros or k >= K_GUARD:
-                    break
-                k = min(2 * k, K_GUARD)
+        phi = build_phi(self.dp)
+        floor = _rung_floor(self.dp)
+        k = min(max(k0, floor), K_GUARD)
+        while True:
+            T, zeros = _series_estimates(self.c, phi, k)
+            j = _scan_stop(T, eps, floor)
+            if j is not None and not zeros:
+                return self, T, phi, j, not self.doomed
+            if j is None:  # best-effort record: the longest representable prefix
+                finite = np.isfinite(T) & (np.abs(T) < 700.0)
+                j = int(np.argmin(finite)) if not finite.all() else k
+            if j >= 2:
+                tail = abs(float(T[j - 1] - T[j - 2]))
+                if fallback is None or tail < fallback[0]:
+                    fallback = (tail, T[:j], j)
+            if zeros or k >= K_GUARD:
+                break
+            k = min(2 * k, K_GUARD)
         if fallback is None:
             return None
-        _, T, phi, k, sound = fallback
-        return self, T, phi, k, sound, False
+        _, T, k = fallback
+        return self, T, phi, k, False
 
 
 def approximate_Z(
@@ -394,16 +406,17 @@ def approximate_Z(
     Z(G; f) = scale^|V| * Z(G; g') with g' the normalized transformed
     signature, and Z(G; g') is approximated by exp(T_k).
 
-    When the classifier's constructive transform leaves every ladder rung
-    without root clearance (its margin only certifies a sliver of a strip),
-    a deterministic sweep over the rotation family retries with the
-    margin-maximizing transform before giving up.  A constructive ladder
-    that holds only a doomed rung (a root preimage strictly inside the
-    unit disk) is not run first: the margin search goes ahead, and the
-    doomed rung runs last, as a best-effort record, only when no attempt
-    was accepted; that record is unconverged even if its stop test fires.
-    An unaccepted constructive record still wins over an unaccepted
-    margin-search one.
+    Each transform runs one rung, fitted to the roots of its P_G.  When
+    the classifier's constructive rung is not accepted (or no parameter
+    clears its roots: its margin only certifies a sliver of a strip), a
+    deterministic sweep over the rotation family retries with the
+    margin-maximizing transform before giving up.  A doomed constructive
+    rung is not run first: the margin search goes ahead, and the doomed
+    rung runs last, as a best-effort record, only when no rung was
+    accepted; that record is unconverged even if its stop test fires.  An
+    unaccepted constructive record still wins over an unaccepted
+    margin-search one.  A run whose every rung overflows at its first
+    terms, leaving no record at all, is refused with GuardExceeded.
     """
     if not (0.0 < eps < 1.0):
         raise ArgumentError("eps must lie in (0, 1)")
@@ -419,21 +432,21 @@ def approximate_Z(
     k0 = int(math.ceil(4.0 * math.log(max(g.m, 2) / eps)))
     constructive = _Attempt(g, f, outcome.matrix, outcome.use_reversal, "constructive")
     built = [constructive]
-    # a ladder outcome: (attempt, T, phi, k_used, sound, accepted) or None
-    chosen = None if constructive.doomed else constructive.run_ladder(eps, k0)
+    # a rung outcome: (attempt, T, phi, k_used, accepted) or None
+    chosen = None if constructive.doomed else constructive.run(eps, k0)
     if not _accepted(chosen):
         alt = margin_search(f)
         if alt is not None and alt.certificate.margin > 1.05 * constructive.cert.margin:
             built.append(_Attempt(g, f, alt.matrix, alt.use_reversal, "margin-search"))
-            out = built[-1].run_ladder(eps, k0)
+            out = built[-1].run(eps, k0)
             if chosen is None or _accepted(out):
                 chosen = out
     if constructive.doomed and not _accepted(chosen):
-        chosen = constructive.run_ladder(eps, k0) or chosen
+        chosen = constructive.run(eps, k0) or chosen
     if chosen is None:
-        raise HolantError("the log series diverged on every available rung")
+        raise GuardExceeded("no rung gave a finite record: the log series diverged at its first terms")
 
-    attempt, T, phi, k_used, sound, converged = chosen
+    attempt, T, phi, k_used, converged = chosen
     t_final = float(T[k_used - 1])
     # log |Z| stays finite where g0**n or the estimate overflows
     log_scale = g.n * math.log(abs(attempt.g0))
@@ -455,10 +468,9 @@ def approximate_Z(
         "estimates": estimates,
         "phi_alpha": phi.alpha,
         "phi_order": phi.order,
-        "rung_sound": sound,
-        "rungs_tried": [r for r, _ in attempt.rungs],
+        "rung_sound": not attempt.doomed,
         "transform_source": attempt.label,
-        "rung_verdicts": {a.label: [list(v) for v in a.verdicts] for a in built},
+        "rung_verdicts": {a.label: [list(a.verdict)] for a in built},
         "self_check": self_check,
     }
     return ApproxResult(
@@ -493,46 +505,17 @@ def _coefficient_prefix(g: Multigraph, gprime: SymmetricSignature):
     return np.asarray([float(np.real(x)) for x in c])
 
 
-def _build_rungs(delta_cert: float, full_coeffs):
-    """(rungs, verdicts): the ordered (phi parameter, sound flag) ladder, and
-    (phi parameter, verdict, clearance) for every candidate.
-
-    Candidates are the certified parameter (when its convergence floor is
-    affordable; parameters below it are certified too but only slower) and
-    the default rungs above it.  A rung is "sound" when certified or, given
-    the exact P_G roots, when every root preimage clears the unit disk by
-    ROOT_CLEARANCE; "doomed" when a preimage lies strictly inside it
-    (clearance below 0.98: certain divergence); else "murky".  Clearance
-    is the smallest preimage modulus, None for a certified rung or when no
-    root bounds it.  Sound rungs run first, largest parameter (fastest)
-    first; murky rungs follow as a last resort, guarded by the
-    stabilization test.  Doomed rungs are left out, unless every candidate
-    is doomed: then the smallest alone is the ladder, so that a
-    best-effort sequence exists, and approximate_Z runs it last, after the
-    margin search.
-    """
-    cert_dp = delta_cert / 2.0
-    cands = []
-    if _rung_feasible(cert_dp):
-        cands.append((cert_dp, True))
-    cands.extend((dp, False) for dp in DEFAULT_RUNGS if dp > cert_dp)
-    if not cands:
-        cands = [(DEFAULT_RUNGS[-1], False)]
+def _fit_attempt_rung(delta_cert: float, full_coeffs):
+    """(phi parameter, "sound"|"doomed", clearance) of a transform's rung:
+    the fitted parameter, or the certified one when it is at least DP_MIN
+    and larger.  With neither, the rung sits at DP_MIN, doomed.  The
+    clearance is None for a certified rung or when no root bounds it."""
     poly = Poly(tuple(full_coeffs))
-    roots = find_roots(poly) if poly.degree >= 1 else None
-    verdicts = []
-    for dp, certified in cands:
-        ok, clearance = certified, math.inf
-        if not ok and roots is not None:
-            clearance = _root_clearance(roots, dp, -math.expm1(-1.0 / dp))
-            ok = clearance >= ROOT_CLEARANCE
-        verdict = "sound" if ok else "doomed" if clearance < 0.98 else "murky"
-        verdicts.append((dp, verdict, clearance if math.isfinite(clearance) else None))
-
-    def ladder(kind):
-        return sorted(((dp, kind == "sound") for dp, v, _ in verdicts if v == kind), key=lambda t: -t[0])
-
-    rungs = ladder("sound") + ladder("murky")
-    if not rungs:
-        rungs = [(min(dp for dp, _, _ in verdicts), False)]
-    return rungs, verdicts
+    roots = find_roots(poly) if poly.degree >= 1 else np.zeros(0, dtype=complex)
+    fitted = _fit_rung(roots)
+    cert_dp = delta_cert / 2.0
+    if cert_dp >= DP_MIN and (fitted is None or cert_dp > fitted):
+        return cert_dp, "sound", None
+    dp = DP_MIN if fitted is None else fitted
+    clearance = _root_clearance(roots, dp)
+    return dp, "doomed" if fitted is None else "sound", clearance if math.isfinite(clearance) else None

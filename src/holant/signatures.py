@@ -239,9 +239,12 @@ def tensor_decompose(f: SymmetricSignature, t: RecurrenceTriple) -> TensorDecomp
         y = complex(f1 - f0 * phi)  # f_1 = x*phi + y
         dec = TensorDecomposition("confluent", x, y, complex(phi))
     else:
+        # roots q/c and a/q with q = -(b + sign(b) sqrt(disc)) / 2: no
+        # cancellation, which (-b +- sqrt(disc)) / 2c has in the small root;
+        # phi1 is still the root with +sqrt(disc), phi2 the one with -sqrt
         sq = complex(disc) ** 0.5
-        phi1 = (-b + sq) / (2.0 * c)
-        phi2 = (-b - sq) / (2.0 * c)
+        q = -0.5 * (b + sq) if b >= 0 else -0.5 * (b - sq)
+        phi1, phi2 = (a / q, q / c) if b >= 0 else (q / c, a / q)
         x = (f1 - f0 * phi2) / (phi1 - phi2)
         y = f0 - x
         dec = TensorDecomposition("distinct", complex(x), complex(y), complex(phi1), complex(phi2))

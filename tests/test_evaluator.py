@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from test_kernels import NONCONV9X4, reference_series
+from test_kernels import NONCONV9X4, PETERSEN, reference_series
 
 from holant.coeffs import power_sums_from_coeffs
 from holant.errors import ArgumentError, GuardExceeded
@@ -234,9 +234,9 @@ def _record_attempts_and_series(monkeypatch):
 
 
 def test_doomed_constructive_ladder_waits_for_the_margin_search(monkeypatch):
-    # every constructive rung of [1,2,3,4] on K4 has a root preimage inside
-    # the unit disk; the margin search's ladder converges, so the doomed
-    # rung never runs
+    # at every parameter the constructive transform of [1,2,3,4] on K4 has
+    # a root preimage inside the unit disk; the margin search's rung
+    # converges, so the doomed rung never runs
     attempts, series = _record_attempts_and_series(monkeypatch)
     res = approximate_Z(complete(4), signature([1, 2, 3, 4]), 0.05)
     constructive, searched = attempts
@@ -262,7 +262,6 @@ def test_doomed_ladder_still_gives_the_best_effort_record(monkeypatch):
     assert res.k_used == 4
     assert res.delta == 0.25
     assert res.diagnostics["transform_source"] == "constructive"
-    assert res.diagnostics["rungs_tried"] == [0.125]
     assert res.diagnostics["rung_sound"] is False
     # the record's four estimates against the 50-digit composition and
     # series; Newton's step-by-step recurrence is itself off by 2.5e-12
@@ -284,16 +283,31 @@ def test_rung_verdicts_in_the_report():
     verdicts = approx_to_json(res)["diagnostics"]["rung_verdicts"]
     json.dumps(verdicts, allow_nan=False)
     assert list(verdicts) == ["constructive", "margin-search"]
-    for entries in verdicts.values():
-        for dp, verdict, clearance in entries:
-            assert isinstance(dp, float) and verdict in ("sound", "murky", "doomed")
-            assert clearance is None or (isinstance(clearance, float) and math.isfinite(clearance))
-    assert all(v == "doomed" and c < 0.98 for _, v, c in verdicts["constructive"])
-    # the margin search certifies its own parameter: no root is consulted
-    certified = verdicts["margin-search"][0]
-    assert certified[1:] == ["sound", None]
-    assert certified[0] == res.delta_certified / 2.0
-    assert all(v == "sound" and c >= 1.02 for _, v, c in verdicts["margin-search"][1:])
+    # one rung per transform
+    assert all(len(entries) == 1 for entries in verdicts.values())
+    # no parameter clears the constructive roots: the rung sits at DP_MIN
+    [(dp, verdict, clearance)] = verdicts["constructive"]
+    assert (dp, verdict) == (0.125, "doomed") and clearance < 1.0
+    # the margin search's roots clear the disk at the largest parameter
+    [(dp, verdict, clearance)] = verdicts["margin-search"]
+    assert (dp, verdict) == (0.225, "sound") and clearance >= 1.02
+    assert res.delta == 2 * dp and dp > res.delta_certified / 2.0
+
+
+def test_the_certified_parameter_takes_the_rung_when_larger():
+    import holant.evaluator as ev
+
+    # P = 1 + 20 z: the root -0.05 has a preimage inside the disk at every
+    # parameter in [DP_MIN, DELTA_CAP/2], so the roots alone doom the rung
+    c = [1.0, 20.0]
+    assert ev._fit_rung(np.array([-0.05 + 0j])) is None
+    dp, verdict, clearance = ev._fit_attempt_rung(0.01, c)
+    assert (dp, verdict) == (0.125, "doomed")
+    assert clearance == pytest.approx(math.expm1(0.4) / -math.expm1(-8.0))
+    # an affordable certified parameter needs no roots, and wins
+    assert ev._fit_attempt_rung(0.3, c) == (0.15, "sound", None)
+    # a root-free P_G clears the disk at the largest parameter
+    assert ev._fit_attempt_rung(0.3, [1.0]) == (0.225, "sound", None)
 
 
 def test_a_doomed_rung_that_stops_is_still_unconverged(monkeypatch, tmp_path, capsys):
@@ -320,12 +334,13 @@ def test_a_doomed_rung_that_stops_is_still_unconverged(monkeypatch, tmp_path, ca
 
 
 def test_a_counted_zero_ends_the_rung_at_its_first_call(monkeypatch):
-    # nonconv9x4's murky rung 0.155 has a zero of P(phi(z)) inside the
-    # first circle, so its series at 1 diverges: the rung ends after one
-    # call instead of doubling k to K_GUARD, and the record is the same
+    # the doomed constructive rung of [1,2,3,4] on K4 has zeros of
+    # P(phi(z)) inside the first circle, so its series at 1 diverges: the
+    # rung ends after one call instead of doubling k to K_GUARD, and the
+    # record is the same
     import holant.evaluator as ev
-    from holant.graphs import Multigraph
 
+    monkeypatch.setattr(ev, "margin_search", lambda f: None)
     kernel, calls = ev._series_estimates, []
 
     def record(hide_count):
@@ -340,27 +355,38 @@ def test_a_counted_zero_ends_the_rung_at_its_first_call(monkeypatch):
     for hide_count in (False, True):
         calls.clear()
         monkeypatch.setattr(ev, "_series_estimates", record(hide_count))
-        results.append(approximate_Z(Multigraph(9, NONCONV9X4), signature([1, 1, 0, 0, 0]), 0.05))
+        results.append(approximate_Z(complete(4), signature([1, 2, 3, 4]), 0.05))
         if not hide_count:
-            assert calls == [(0.125, 4472), (0.125, 6000), (0.155, 951)]
-    assert calls == [(0.125, 4472), (0.125, 6000), (0.155, 951), (0.155, 1902), (0.155, 3804), (0.155, 6000)]
+            assert calls == [(0.125, 4472)]
+    assert calls == [(0.125, 4472), (0.125, 6000)]
     counted, hidden = results
-    assert not counted.converged and (counted.k_used, counted.delta) == (6000, 0.25)
+    assert not counted.converged and (counted.k_used, counted.delta) == (4, 0.25)
     assert (counted.estimate, counted.k_used, counted.delta) == (hidden.estimate, hidden.k_used, hidden.delta)
+
+
+def test_nonconv9x4_converges_on_its_fitted_rung():
+    # rung 0.125 needs more than K_GUARD terms here and rung 0.155
+    # diverges; the fitted rung lies between them
+    from holant.graphs import Multigraph
+
+    g, f = Multigraph(9, NONCONV9X4), signature([1, 1, 0, 0, 0])
+    res = approximate_Z(g, f, 0.05)
+    assert res.converged
+    assert 0.125 < res.delta / 2 < 0.155
+    assert abs(res.estimate / float(brute_force_Z(g, f)) - 1) <= 0.05
 
 
 # The fixed-graph instances of the benchmark's approx-ladder workload, with
 # the stop index, transform, rung (delta = twice the phi parameter) and
-# estimate that the step-by-step Newton recurrence gave: a kernel that
-# changes the arithmetic must not move a stop.
-_PETERSEN = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 7), (6, 8), (7, 9), (8, 5), (9, 6),
-             (0, 5), (1, 6), (2, 7), (3, 8), (4, 9))
+# estimate: the K5 matchings and Petersen rows as their fitted rungs give
+# them, the others as the step-by-step Newton recurrence gave them.  A
+# kernel that changes the arithmetic must not move a stop.
 STOP_GUARD = [
     ("K4", [1, 2, 3, 4], 0.05, 262, "margin-search", 0.45, 3106.676417363495),
     ("K4", [1, 2, 1, 1], 0.01, 608, "constructive", 0.45, 238.9915048481496),
     ("K5", [1, 2, 3, 4, 5], 0.01, 326, "margin-search", 0.45, 320760.6648147698),
-    ("K5", [1, 1, 0, 0, 0], 0.05, 2216, "constructive", 0.31, 25.965974864224556),
-    ("petersen", [3, 1, 1, 1], 0.05, 3776, "margin-search", 0.31, 717502.6931226695),
+    ("K5", [1, 1, 0, 0, 0], 0.05, 1114, "constructive", 0.3493192514404654, 25.968792591344915),
+    ("petersen", [3, 1, 1, 1], 0.05, 556, "margin-search", 0.45, 717577.5700902912),
 ]
 
 
@@ -368,7 +394,7 @@ STOP_GUARD = [
 def test_stop_index_guard(name, vals, eps, k_used, source, delta, estimate):
     from holant.graphs import Multigraph
 
-    g = Multigraph(10, _PETERSEN) if name == "petersen" else complete(int(name[1:]))
+    g = Multigraph(10, PETERSEN) if name == "petersen" else complete(int(name[1:]))
     res = approximate_Z(g, signature(vals), eps)
     assert res.converged
     assert res.k_used == k_used

@@ -16,7 +16,7 @@ import holant.transform as tr
 from holant import stability
 from holant.classify import classify
 from holant.coeffs import power_sums_from_coeffs
-from holant.graphs import Multigraph, random_regular
+from holant.graphs import Multigraph, complete, random_regular
 from holant.signatures import local_polynomial, reverse, signature
 from holant.stability import REJECT_RE, Poly, find_roots, h_eps_stability
 from holant.transform import apply_holographic, rotation_from_w, rotation_margins
@@ -124,7 +124,7 @@ def _random_poly(rng, m, complex_entries):
     return c
 
 
-@pytest.mark.parametrize("dp", ev.DEFAULT_RUNGS)
+@pytest.mark.parametrize("dp", (0.225, 0.185, 0.155, 0.125))
 @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
 def test_fft_composition_matches_direct_horner(dp, complex_entries):
     rng = np.random.default_rng(int(1000 * dp) + complex_entries)
@@ -263,8 +263,9 @@ def test_sampled_series_matches_a_50_digit_reference(n, dp):
         assert np.max(np.abs(got - want[:k])) <= 1e-10
 
 
-# matchings [1,1,0,0,0] on this 4-regular graph of 18 edges converge on no
-# rung within K_GUARD terms; rung 0.155 is murky
+# matchings [1,1,0,0,0] on this 4-regular graph of 18 edges: rung 0.125
+# needs more than K_GUARD terms, rung 0.155 has a zero of P(phi(z)) inside
+# the unit disk, and the fitted rung (about 0.151) converges
 NONCONV9X4 = ((0, 8), (3, 4), (2, 4), (1, 6), (3, 7), (0, 6), (0, 1), (1, 3), (3, 8),
               (5, 6), (0, 2), (4, 7), (5, 7), (1, 5), (7, 8), (2, 6), (2, 8), (4, 5))
 
@@ -307,9 +308,75 @@ def test_a_nan_count_halves_rho_but_counts_no_zero(monkeypatch):
     assert radii == [1.0 - 11.0 / k, (1.0 - 11.0 / k) / 2.0]
 
 
+PETERSEN = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 7), (6, 8), (7, 9), (8, 5), (9, 6),
+            (0, 5), (1, 6), (2, 7), (3, 8), (4, 9))
+
+# the 18 approx instances of the benchmark's two approx workloads at seed 1
+# (each graph as that seed draws it), with eps left out
+_CUBIC12 = ((7, 10), (1, 3), (8, 10), (4, 8), (1, 11), (6, 9), (2, 9), (2, 11), (5, 10), (3, 7), (3, 5),
+            (0, 8), (4, 6), (2, 4), (0, 9), (1, 5), (6, 11), (0, 7))
+_CUBIC14 = ((10, 12), (7, 8), (2, 10), (5, 11), (0, 2), (6, 8), (7, 10), (6, 13), (0, 11), (1, 12), (1, 9),
+            (7, 13), (3, 13), (3, 4), (2, 9), (0, 12), (8, 9), (4, 5), (1, 4), (3, 11), (5, 6))
+_QUARTIC10 = ((5, 7), (1, 3), (6, 9), (1, 6), (3, 9), (0, 4), (1, 8), (1, 5), (2, 8), (0, 5), (2, 7), (4, 7),
+              (6, 8), (3, 7), (4, 5), (2, 3), (8, 9), (0, 9), (4, 6), (0, 2))
+_CUBIC8 = ((0, 3), (1, 7), (2, 6), (4, 6), (3, 6), (5, 7), (0, 2), (1, 2), (3, 4), (0, 7), (1, 5), (4, 5))
+_CUBIC10 = ((6, 8), (3, 7), (2, 9), (3, 4), (7, 9), (5, 8), (2, 7), (0, 9), (3, 6), (0, 4), (1, 8), (0, 1),
+            (4, 5), (1, 5), (2, 6))
+_QUARTIC8 = ((6, 7), (4, 7), (4, 5), (2, 5), (3, 4), (0, 7), (3, 5), (0, 3), (1, 6), (1, 3), (1, 7), (0, 2),
+             (0, 6), (2, 4), (1, 2), (5, 6))
+_QUARTIC9 = ((6, 7), (1, 6), (3, 8), (0, 4), (3, 5), (0, 5), (1, 5), (1, 7), (2, 6), (1, 2), (4, 6), (2, 8),
+             (0, 2), (5, 8), (4, 8), (0, 7), (3, 7), (3, 4))
+SEED1_APPROX = [
+    *((Multigraph(12, _CUBIC12), f) for f in ([1, 1, 0, 0], [0, 1, 1, 1], [1, 1, 2, 3])),
+    *((Multigraph(14, _CUBIC14), f) for f in ([1, 1, 0, 0], [0, 1, 1, 1], [1, 1, 2, 3])),
+    (Multigraph(10, _QUARTIC10), [0, 1, 1, 1, 1]),
+    (Multigraph(10, PETERSEN), [3, 1, 1, 1]),
+    (Multigraph(10, _CUBIC10), [3, 1, 1, 1]),
+    (complete(4), [1, 2, 3, 4]),
+    (Multigraph(8, _CUBIC8), [1, 2, 3, 4]),
+    (Multigraph(10, _CUBIC10), [1, 2, 1, 1]),
+    (complete(4), [1, 2, 1, 1]),
+    (complete(5), [1, 2, 3, 4, 5]),
+    (Multigraph(9, _QUARTIC9), [1, 2, 3, 4, 5]),
+    (Multigraph(8, _QUARTIC8), [1, 1, 0, 0, 0]),
+    (complete(5), [1, 1, 0, 0, 0]),
+    (Multigraph(9, NONCONV9X4), [1, 1, 0, 0, 0]),
+]
+
+
+def test_a_root_past_the_log_branch_has_no_preimage():
+    # phi maps the disk |z| < 1/alpha into |Im| < pi dp; exp(-r/dp) would
+    # wrap this root around onto a false preimage of modulus about 0.8
+    root = np.array([0.09 + 4.04j])
+    assert ev._root_clearance(root, 0.225) == math.inf
+    assert ev._root_clearance(np.array([0.09 + 0.5j, 0.09 + 4.04j]), 0.225) < math.inf
+
+
+def test_the_root_clearance_agrees_with_the_zero_count():
+    # both transforms of each of the 18 instances, at four parameters
+    # across [DP_MIN, DELTA_CAP/2]: a root preimage lies inside the unit
+    # disk exactly when the argument principle counts a zero of P(phi(z))
+    # inside |z| = 0.998
+    phis = {dp: ev.build_phi(dp) for dp in (0.225, 0.185, 0.155, 0.125)}
+    pairs = 0
+    for g, vals in SEED1_APPROX:
+        f = signature(vals)
+        outcome, alt = classify(f), tr.margin_search(f)
+        for matrix, use_rev in ((outcome.matrix, outcome.use_reversal), (alt.matrix, alt.use_reversal)):
+            c = ev._Attempt(g, f, matrix, use_rev, "any").c
+            roots = find_roots(Poly(tuple(c)))
+            cv = c[: np.flatnonzero(c)[-1] + 1]
+            for dp, phi in phis.items():
+                g0 = np.fft.irfft(ev._log_derivative_samples(cv, phi, 0.998, 4096), 4096)[0]
+                assert abs(g0 - round(g0)) <= 0.01
+                assert (ev._root_clearance(roots, dp) < 1.0) == (round(g0) >= 1), (vals, g.n, dp)
+                pairs += 1
+    assert pairs == 144
+
+
 def test_one_series_call_stays_under_a_megabyte():
     c = _attempt(random_regular(26, 3, seed=1), [1, 1, 0, 0]).c
-    phi = ev.build_phi(0.125)  # the longest phi of the ladder
+    phi = ev.build_phi(ev.DP_MIN)  # the longest phi a rung takes
     ev._series_estimates(c, phi, 200)  # numpy's fft module and its caches load here
     tracemalloc.start()
     try:
