@@ -45,8 +45,10 @@ from .coeffs import (  # noqa: F401
 )
 from .errors import ArgumentError, GuardExceeded, HolantError
 from .graphs import Multigraph
-from .signatures import SymmetricSignature, local_polynomial, reverse
-from .stability import DELTA_CAP, Poly, find_roots, h_eps_stability, strip_halfwidth
+from .signatures import SymmetricSignature, reverse
+# h_eps_stability is imported for bench/tracing.py, which wraps it here by
+# name; each transform arrives with its certificate already computed
+from .stability import DELTA_CAP, Poly, find_roots, h_eps_stability, strip_halfwidth  # noqa: F401
 from .transform import Matrix2, apply_holographic, cast_real, margin_search
 
 # Largest edge count the evaluator takes.  Rung verdicts rest on the
@@ -339,21 +341,26 @@ def _scan_stop(T: np.ndarray, eps: float, floor: int):
 
 
 class _Attempt:
-    """One transform's full evaluation state: prefix, rung, rung scan."""
+    """One transform's full evaluation state: prefix, rung, rung scan.
 
-    def __init__(self, g: Multigraph, f: SymmetricSignature, matrix: Matrix2, use_rev: bool, label: str):
-        h = reverse(f) if use_rev else f
-        transformed = cast_real(apply_holographic(h, matrix))
+    ``transform`` carries the matrix, the reversal flag and the stability
+    certificate of the transformed signature (a StableTransform or a
+    StableTransform ClassificationOutcome); normalizing by g0 moves no
+    root, so the certificate holds for g' as it is."""
+
+    def __init__(self, g: Multigraph, f: SymmetricSignature, transform, label: str):
         self.label = label
-        self.matrix = matrix
-        self.use_rev = use_rev
+        self.matrix = transform.matrix
+        self.use_rev = transform.use_reversal
+        self.cert = transform.certificate
+        if self.cert is None:
+            raise ArgumentError("the transform carries no stability certificate")
+        h = reverse(f) if self.use_rev else f
+        transformed = cast_real(apply_holographic(h, self.matrix))
         self.g0 = float(transformed.values[0])
         if self.g0 == 0.0:
             raise HolantError("transformed signature has zero leading entry")
         self.gprime = SymmetricSignature(tuple(float(v) / self.g0 for v in transformed.values))
-        self.cert = h_eps_stability(local_polynomial(self.gprime))
-        if self.cert is None:
-            raise HolantError("transformed local polynomial failed the stability check")
         self.delta_cert = strip_halfwidth(self.cert.eps)
         self.c = _coefficient_prefix(g, self.gprime)
         self.verdict = _fit_attempt_rung(self.delta_cert, self.c)
@@ -430,14 +437,14 @@ def approximate_Z(
         raise GuardExceeded(f"{g.m} edges exceeds the evaluator's limit of {EDGE_LIMIT}")
 
     k0 = int(math.ceil(4.0 * math.log(max(g.m, 2) / eps)))
-    constructive = _Attempt(g, f, outcome.matrix, outcome.use_reversal, "constructive")
+    constructive = _Attempt(g, f, outcome, "constructive")
     built = [constructive]
     # a rung outcome: (attempt, T, phi, k_used, accepted) or None
     chosen = None if constructive.doomed else constructive.run(eps, k0)
     if not _accepted(chosen):
         alt = margin_search(f)
         if alt is not None and alt.certificate.margin > 1.05 * constructive.cert.margin:
-            built.append(_Attempt(g, f, alt.matrix, alt.use_reversal, "margin-search"))
+            built.append(_Attempt(g, f, alt, "margin-search"))
             out = built[-1].run(eps, k0)
             if chosen is None or _accepted(out):
                 chosen = out

@@ -16,9 +16,13 @@ count, sets the cost, so it is the only guard on exact work: a plan
 above ENTRY_CAP entries is refused with GuardExceeded before any array
 is allocated, and any plan below it runs.
 
-Gadget composition runs the same contraction once per count vector of
-the dangling slots, on the inner graph with every edge subdivided by a
-vertex carrying the edge signature.
+Gadget composition runs the same contraction once, on the inner graph
+with every edge subdivided by a vertex carrying the edge signature.  A
+vertex with dangling slots carries the Hankel table H[j, t] = f[j + t]
+of its full signature (j its inner count, t its set slots): when it is
+finished, its t axis stays open in the state, so the one contraction
+yields the value of every count vector of the slots.  The plan sizes
+those open axes too, so ENTRY_CAP bounds the whole state.
 
 With exact (int/Fraction) signature entries the state holds Python ints
 (each table scaled by its common denominator, divided out once at the
@@ -35,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ArgumentError, AsymmetricGadget, GuardExceeded
 from .signatures import SymmetricSignature
@@ -158,34 +163,42 @@ def _vertex_signatures(g: Multigraph, assign) -> list:
     return sigs
 
 
-def _live_lengths(sigs) -> list:
-    """Per vertex, one past the largest count whose signature entry is nonzero.
+def _live_lengths(sigs, opened: list) -> list:
+    """Per vertex, one past the largest count whose table row is nonzero.
 
+    A vertex with an open axis of length n has rows f[j : j + n] for its
+    counts j = 0..arity - n + 1; otherwise row j is the entry f[j].
     Counts only grow as edges are placed, so a state whose count at v has
     reached this length contributes nothing and is never stored.  A zero
-    signature keeps length 1, whose only entry contracts to 0.
+    signature keeps length 1, whose only row contracts to 0.
     """
     out = []
-    for s in sigs:
+    for s, n in zip(sigs, opened):
         live = [i for i, x in enumerate(s.values) if x != 0]
-        out.append(live[-1] + 1 if live else 1)
+        out.append(min(live[-1], s.arity - n + 1) + 1 if live else 1)
     return out
 
 
-def _plan(g: Multigraph, live: list, strata: int):
+def _plan(g: Multigraph, live: list, strata: int, opened: list = None):
     """Greedy edge order and the entry count of the largest state it builds.
 
     ``strata`` is the length the degree axis may reach (0: no degree axis).
+    ``opened`` is, per vertex, the length of the open axis that its table
+    leaves once the vertex is finished (default 1: none).
     Each step places the unplaced edge whose state, after finished vertices
     are contracted, is smallest (then whose grown state is smallest, then
     the lowest edge index), so the order is a deterministic function of
-    the graph, the signatures' live lengths and ``strata``.  Each vertex's
-    axis length (1 off the frontier) and their running product score a
-    candidate in a few integer operations; the degree axis scales every
-    candidate of a step alike, so it enters only the peak.
+    the graph, the signatures' live lengths, the open lengths and
+    ``strata``.  Each vertex's axis length (1 before it joins the
+    frontier, its open length once finished) and their running product
+    score a candidate in a few integer operations; the degree axis scales
+    every candidate of a step alike, so it enters only the peak.  The peak
+    counts the grown state and the state after each finished vertex's
+    contraction, in the order the contraction takes them.
     """
     edges = g.edges
     remaining = g.degrees()
+    opened = opened or [1] * g.n
     length = [1] * g.n
     total = 1  # product of the frontier's axis lengths
     todo = list(range(g.m))  # ascending, so the first best has the lowest index
@@ -199,32 +212,40 @@ def _plan(g: Multigraph, live: list, strata: int):
                 grown = min(length[u] + 2, live[u])
                 rest = total // length[u]
                 size = rest * grown
-                after = size if remaining[u] > 2 else rest
+                after = size if remaining[u] > 2 else rest * opened[u]
             else:
                 gu, gv = min(length[u] + 1, live[u]), min(length[v] + 1, live[v])
                 rest = total // (length[u] * length[v])
                 size = rest * gu * gv
-                after = rest * (gu if remaining[u] > 1 else 1) * (gv if remaining[v] > 1 else 1)
+                after = rest * (gu if remaining[u] > 1 else opened[u]) * (gv if remaining[v] > 1 else opened[v])
             if best is None or after < best_after or (after == best_after and size < best_size):
                 best, best_after, best_size = e, after, size
         depth = min(step + 2, strata) if strata else 1
         peak = max(peak, depth * best_size)
         u, v = edges[best]
+        state = best_size
         for w in dict.fromkeys((u, v)):
             total //= length[w]
             remaining[w] -= 2 if u == v else 1
-            length[w] = min(length[w] + (2 if u == v else 1), live[w]) if remaining[w] else 1
+            length[w] = min(length[w] + (2 if u == v else 1), live[w])
+            if not remaining[w]:
+                state = state // length[w] * opened[w]
+                peak = max(peak, depth * state)
+                length[w] = opened[w]
             total *= length[w]
         order.append(best)
         todo.remove(best)
     return order, peak
 
 
-def _contract(g: Multigraph, sigs, order: list, live: list, strata: int) -> np.ndarray:
-    """Run a plan: the state holds one degree axis and one count axis per
-    frontier vertex, and every axis grows only as edges are placed.  The
-    degree axis stops at ``strata`` entries; 0 keeps it at length 1, so the
-    strata are summed.
+def _contract(g: Multigraph, sigs, order: list, live: list, strata: int, opened: list) -> np.ndarray:
+    """Run a plan: the state holds one degree axis, the open axes of the
+    finished vertices, and one count axis per frontier vertex, and every
+    axis grows only as edges are placed.  The degree axis stops at
+    ``strata`` entries; 0 keeps it at length 1, so the strata are summed.
+    A vertex of open length n > 1 carries the Hankel table H[j, t] =
+    f[j + t], t < n, and its contraction leaves the t axis right after the
+    degree axis; the result has its open axes in vertex order.
 
     Exact tables are scaled to Python ints by the lcm of their
     denominators, and the result is divided once by the product of those
@@ -241,8 +262,10 @@ def _contract(g: Multigraph, sigs, order: list, live: list, strata: int) -> np.n
         real = all(s.is_real for s in sigs)
         dtype = float if real else complex
         tables = [np.array([complex(x).real if real else complex(x) for x in s.values]) for s in sigs]
+    tables = [t if n == 1 else sliding_window_view(t, n) for t, n in zip(tables, opened)]
     remaining = g.degrees()
-    frontier = []  # vertex of state axis i + 1
+    frontier = []  # vertex of state axis 1 + len(done) + i
+    done = []  # vertex of open axis len(done) - i
     state = np.ones(1, dtype=dtype)
     for e in order:
         u, v = g.edges[e]
@@ -250,10 +273,11 @@ def _contract(g: Multigraph, sigs, order: list, live: list, strata: int) -> np.n
             if w not in frontier:
                 frontier.append(w)
                 state = state[..., None]
-        shift = [1 if strata else 0] + [0] * len(frontier)
-        shift[frontier.index(u) + 1] += 1
-        shift[frontier.index(v) + 1] += 1
-        caps = [strata or 1] + [live[w] for w in frontier]
+        lead = 1 + len(done)
+        shift = [1 if strata else 0] + [0] * (len(done) + len(frontier))
+        shift[lead + frontier.index(u)] += 1
+        shift[lead + frontier.index(v)] += 1
+        caps = [strata or 1] + list(state.shape[1:lead]) + [live[w] for w in frontier]
         shape = tuple(min(n + s, c) for n, s, c in zip(state.shape, shift, caps))
         grown = np.zeros(shape, dtype=dtype)
         grown[tuple(slice(0, n) for n in state.shape)] = state
@@ -265,31 +289,41 @@ def _contract(g: Multigraph, sigs, order: list, live: list, strata: int) -> np.n
         remaining[v] -= 1
         for w in dict.fromkeys((u, v)):
             if not remaining[w]:
-                i = frontier.index(w) + 1
+                i = 1 + len(done) + frontier.index(w)
                 state = np.tensordot(state, tables[w][: state.shape[i]], axes=([i], [0]))
                 frontier.remove(w)
+                if opened[w] > 1:
+                    state = np.moveaxis(state, -1, 1)
+                    done.append(w)
+    if done:
+        state = state.transpose([0] + [len(done) - done.index(w) for w in sorted(done)])
     if scale != 1:
-        state = np.array([Fraction(x, scale) for x in state], dtype=object)
+        state = np.array([Fraction(x, scale) for x in state.flat], dtype=object).reshape(state.shape)
     return state
 
 
-def _contraction(g: Multigraph, sigs, strata: int) -> np.ndarray:
+def _contraction(g: Multigraph, sigs, strata: int, opened: list = None) -> np.ndarray:
     """Sum over edge assignments by a frontier dynamic program over the edges.
 
-    ``sigs`` holds one signature per vertex, of arity equal to its degree.
-    The result holds Z_0..Z_{strata-1}, or, for strata = 0, the single
-    entry Z.  The plan is sized before any array is allocated; a plan whose
-    largest state exceeds ENTRY_CAP entries is refused.
+    ``sigs`` holds one signature per vertex, of arity equal to its degree
+    plus its open length minus 1; ``opened`` gives each vertex's open
+    length (default 1: none).  The result's first axis holds
+    Z_0..Z_{strata-1}, or, for strata = 0, the single entry Z; it has one
+    more axis per vertex of open length n > 1, in vertex order, whose
+    entry t is the sum with t of that vertex's open inputs set.  The plan
+    is sized before any array is allocated; a plan whose largest state,
+    open axes included, exceeds ENTRY_CAP entries is refused.
     """
-    live = _live_lengths(sigs)
-    order, peak = _plan(g, live, strata)
+    opened = opened or [1] * len(sigs)
+    live = _live_lengths(sigs, opened)
+    order, peak = _plan(g, live, strata, opened)
     if peak > ENTRY_CAP:
         raise GuardExceeded(
             f"the contraction plan needs a state of {peak:,} entries, above the cap of {ENTRY_CAP:,}"
         )
     # float entries past 1.8e308 give inf, which the CLI refuses as non-finite
     with np.errstate(over="ignore", invalid="ignore"):
-        return _contract(g, sigs, order, live, strata)
+        return _contract(g, sigs, order, live, strata, opened)
 
 
 def brute_force_coeffs(g: Multigraph, assign):
@@ -362,12 +396,13 @@ def compose_gadget(gadget: OpenGadget, edge_signature):
     two half-edges (b_1 for exactly one endpoint set): the edge is
     subdivided by a vertex carrying that signature.  Every signature is
     symmetric, so a boundary assignment matters only through t_v, the
-    number of set dangling slots at each vertex v.  Each count vector t
-    takes one contraction, in which v carries f_v[t_v : t_v + deg(v) + 1]
-    (deg: inner degree); a vertex with no inner edge is the factor
-    f_v[t_v].  Values of equal total weight must agree (exactly for exact
-    input, else within 1e-9 of the largest value), or AsymmetricGadget is
-    raised.
+    number of set dangling slots at each vertex v.  One contraction gives
+    every count vector t: a vertex with inner edges and c_v slots carries
+    the (deg(v) + 1) x (c_v + 1) table f_v[j + t_v] (deg: inner degree)
+    and leaves its t_v axis open; a vertex with no inner edge is the
+    factor f_v[t_v].  The open axes count toward the plan's ENTRY_CAP.
+    Values of equal total weight must agree (exactly for exact input,
+    else within 1e-9 of the largest value), or AsymmetricGadget is raised.
 
     Exact (list of Fractions) when every entry is rational, else a numpy
     vector, real when every entry is real.
@@ -391,17 +426,19 @@ def compose_gadget(gadget: OpenGadget, edge_signature):
     h = Multigraph(mid + g.m, tuple(halves))
     sigs = (edge,) + gadget.assign
     exact = all(s.is_exact for s in sigs)
+    opened = [slots[v] + 1 for v in inner] + [1] * g.m
+    state = _contraction(h, [gadget.assign[v] for v in inner] + [edge] * g.m, 0, opened)
+    axes = [v for v in inner if slots[v]]
 
     by_weight = [[] for _ in range(dang + 1)]
     for t in itertools.product(*(range(c + 1) for c in slots)):
-        cut = [SymmetricSignature(gadget.assign[v].values[t[v] : t[v] + deg[v] + 1]) for v in inner]
-        z = _contraction(h, cut + [edge] * g.m, 0)[0]
+        z = state[(0,) + tuple(t[v] for v in axes)]
         for v in range(g.n):
             if not deg[v]:
                 z = z * gadget.assign[v].values[t[v]]
         by_weight[sum(t)].append(z if exact else complex(z))
 
-    scale = max(1.0, max(abs(z) for vals in by_weight for z in vals))
+    scale = max(abs(z) for vals in by_weight for z in vals)
     for k, vals in enumerate(by_weight):
         spread = max(abs(z - vals[0]) for z in vals)
         if spread > (0 if exact else 1e-9 * scale):

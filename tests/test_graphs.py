@@ -337,6 +337,20 @@ def test_gadget_symmetry_check():
         compose_gadget(gadget, [1, 0, 1])
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+def test_gadget_symmetry_check_is_scale_invariant(scale):
+    # the tolerance is relative to the largest value: a tiny asymmetric
+    # gadget is refused, as at scale 1, and a tiny symmetric one composes
+    g = Multigraph(2, ((0, 1),))
+    f = signature([scale, 2 * scale, 3 * scale])
+    asymmetric = OpenGadget(g, ((0, 1), (1, 1)), (f, signature([scale, 5 * scale, 7 * scale])))
+    with pytest.raises(AsymmetricGadget):
+        compose_gadget(asymmetric, [1, 0, 1])
+    got = compose_gadget(OpenGadget(g, ((0, 1), (1, 1)), (f, f)), [1, 0, 1])
+    want = compose_gadget(OpenGadget(g, ((0, 1), (1, 1)), (signature([1, 2, 3]),) * 2), [1, 0, 1])
+    assert np.max(np.abs(got / scale**2 - np.asarray(want, dtype=float))) <= 1e-12 * max(abs(x) for x in want)
+
+
 def test_gadget_arity_bookkeeping():
     with pytest.raises(ArgumentError):
         OpenGadget(cycle(3), ((0, 2),), (signature([0, 1, 0, 0]),) * 3)
@@ -380,17 +394,71 @@ def enumerate_gadget(gadget, b):
     return full
 
 
+def agreed_values(by_weight, exact):
+    """The value at each boundary weight, or None when two values of one
+    weight disagree (exactly, or beyond 1e-9 of the largest value)."""
+    scale = max(abs(x) for vals in by_weight for x in vals)
+    if any(max(abs(x - vals[0]) for x in vals) > (0 if exact else 1e-9 * scale) for vals in by_weight):
+        return None
+    return [vals[0] for vals in by_weight]
+
+
 def collapse_by_weight(full, exact):
-    """The value at each boundary weight, or None when two assignments of
-    one weight disagree (exactly, or beyond 1e-9 of the largest value)."""
-    scale = max([1.0] + [abs(x) for x in full])
-    eff = []
-    for k in range(len(full).bit_length()):
-        vals = [x for tau, x in enumerate(full) if bin(tau).count("1") == k]
-        if max(abs(x - vals[0]) for x in vals) > (0 if exact else 1e-9 * scale):
-            return None
-        eff.append(vals[0])
-    return eff
+    """agreed_values of the 2^dangling values, bit i of the index setting
+    boundary slot i."""
+    by_weight = [[x for tau, x in enumerate(full) if bin(tau).count("1") == k] for k in range(len(full).bit_length())]
+    return agreed_values(by_weight, exact)
+
+
+def reference_compose_gadget(gadget, edge_signature):
+    """Gadget composition as it once ran: one contraction per count vector
+    t of the dangling slots, in which a vertex v with inner edges carries
+    f_v[t_v : t_v + deg(v) + 1].  graphs.compose_gadget must give the same
+    values and refuse the same gadgets."""
+    edge = SymmetricSignature(tuple(edge_signature))
+    g = gadget.graph
+    deg = g.degrees()
+    slots = [0] * g.n
+    for v, c in gadget.dangling:
+        slots[v] += c
+    inner = [v for v in range(g.n) if deg[v]]
+    pos = {v: i for i, v in enumerate(inner)}
+    h = Multigraph(len(inner) + g.m, tuple((pos[w], len(inner) + e) for e, (u, v) in enumerate(g.edges) for w in (u, v)))
+    by_weight = [[] for _ in range(gadget.boundary_size + 1)]
+    for t in itertools.product(*(range(c + 1) for c in slots)):
+        cut = [SymmetricSignature(gadget.assign[v].values[t[v] : t[v] + deg[v] + 1]) for v in inner]
+        z = brute_force_Z(h, cut + [edge] * g.m)
+        for v in range(g.n):
+            if not deg[v]:
+                z = z * gadget.assign[v].values[t[v]]
+        by_weight[sum(t)].append(z)
+    sigs = (edge,) + gadget.assign
+    exact = all(s.is_exact for s in sigs)
+    eff = agreed_values(by_weight, exact)
+    if eff is None:
+        raise AsymmetricGadget("the reference found the gadget asymmetric")
+    if exact:
+        return [Fraction(x) for x in eff]
+    eff = np.array([complex(x) for x in eff])
+    return eff.real if all(s.is_real for s in sigs) else eff
+
+
+def assert_composes_as_the_reference(gadget, b):
+    """compose_gadget against reference_compose_gadget: the same Fractions,
+    float or complex values within 1e-12 of the largest, or
+    AsymmetricGadget from both."""
+    try:
+        want = reference_compose_gadget(gadget, b)
+    except AsymmetricGadget:
+        with pytest.raises(AsymmetricGadget):
+            compose_gadget(gadget, b)
+        return
+    got = compose_gadget(gadget, b)
+    if isinstance(want, list):
+        assert got == want and all(isinstance(x, Fraction) for x in got)
+        return
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+    assert np.isrealobj(got) == np.isrealobj(want)
 
 
 def random_gadget(rng, kind, shape):
@@ -461,16 +529,31 @@ def test_gadget_matches_enumeration(kind, shape):
         assert np.isrealobj(got) == (kind == "float")
 
 
-def test_gadget_petersen_minus_a_vertex_closes_to_petersen():
-    # 12 inner edges and 3 dangling edges: 2^27 half-edge assignments, which
-    # an enumerating composition cannot afford
+@pytest.mark.parametrize("kind", ["rational", "float", "complex"])
+@pytest.mark.parametrize("shape", ["one", "loose", "arms", "scattered"])
+def test_gadget_matches_the_per_count_vector_reference(kind, shape):
+    rng = random.Random(f"gadget-reference-{kind}-{shape}")
+    for _ in range(8):
+        gadget = random_gadget(rng, kind, shape)
+        assert_composes_as_the_reference(gadget, [random_entry(rng, kind) for _ in range(3)])
+
+
+def petersen_minus_a_vertex(f):
+    """Petersen without vertex 0: 12 inner edges, one dangling edge at each
+    of 0's three neighbours, f at every vertex."""
     pet = petersen()
     keep = {v: v - 1 for v in range(1, pet.n)}
     inner = tuple((keep[u], keep[v]) for u, v in pet.edges if 0 not in (u, v))
     nbrs = sorted(keep[u if v == 0 else v] for u, v in pet.edges if 0 in (u, v))
+    return OpenGadget(Multigraph(9, inner), tuple((v, 1) for v in nbrs), (f,) * 9)
+
+
+def test_gadget_petersen_minus_a_vertex_closes_to_petersen():
+    # 12 inner edges and 3 dangling edges: 2^27 half-edge assignments, which
+    # an enumerating composition cannot afford
+    pet = petersen()
     f = signature([1, 2, 1, 3])
-    gadget = OpenGadget(Multigraph(9, inner), tuple((v, 1) for v in nbrs), (f,) * 9)
-    eff = compose_gadget(gadget, [1, 0, 1])
+    eff = compose_gadget(petersen_minus_a_vertex(f), [1, 0, 1])
     assert all(isinstance(x, Fraction) for x in eff)
     z = sum(math.comb(3, w) * eff[w] * f.values[w] for w in range(4))
     assert z == brute_force_Z(pet, f) == 4677889
@@ -500,3 +583,84 @@ def test_exact_contraction_with_denominators(monkeypatch):
     assert got == want and all(isinstance(x, Fraction) for x in got)
     assert brute_force_Z(g, sigs) == sum(want)
     assert contracted and all(type(x) is int for x in contracted)
+
+
+# ----------------------------------------------------------------------
+# the gadget's one contraction and its cap
+
+
+def test_a_gadget_takes_one_contraction(monkeypatch):
+    import holant.graphs as graphs
+
+    calls = []
+    contraction = graphs._contraction
+
+    def record(*args):
+        calls.append(args)
+        return contraction(*args)
+
+    monkeypatch.setattr(graphs, "_contraction", record)
+    compose_gadget(petersen_minus_a_vertex(signature([1, 2, 1, 3])), [1, 0, 1])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("shape", ["one", "loose", "arms", "scattered"])
+def test_the_planned_peak_is_the_largest_state_built(monkeypatch, shape):
+    # every array the contraction allocates is a grown state (np.zeros) or
+    # the state after a finished vertex (np.tensordot); the plan's peak,
+    # open axes included, is the largest of them
+    import holant.graphs as graphs
+
+    planned, built = [], []
+    plan = graphs._plan
+
+    def record_plan(*args):
+        out = plan(*args)
+        planned.append(out[1])
+        return out
+
+    def record(fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            built.append(out.size)
+            return out
+
+        return call
+
+    monkeypatch.setattr(graphs, "_plan", record_plan)
+    monkeypatch.setattr(np, "zeros", record(np.zeros))
+    monkeypatch.setattr(np, "tensordot", record(np.tensordot))
+    rng = random.Random(f"peak-{shape}")
+    gadgets = [random_gadget(rng, "rational", shape) for _ in range(8)]
+    if shape == "one":
+        # inner degree 1 and three slots: the open axis (4) outgrows the
+        # count axis (2), so the largest state is the one right after the
+        # vertex is finished, before its edge's middle vertex is
+        gadgets.append(OpenGadget(Multigraph(2, ((0, 1),)), ((0, 3),), (signature([1, 2, 3, 4, 5]), signature([1, 1]))))
+    for gadget in gadgets:
+        planned.clear()
+        built.clear()
+        try:
+            compose_gadget(gadget, [random_entry(rng, "rational") for _ in range(3)])
+        except AsymmetricGadget:
+            pass
+        assert planned == [max(built, default=1)]
+
+
+def test_a_gadget_plan_is_refused_before_any_work(monkeypatch):
+    # one count vector's contraction peaks at 128 entries and the one
+    # contraction, with its three open axes of length 2, at 512: the cap
+    # bounds the whole state, so a cap the per-count-vector plans meet
+    # refuses the gadget before any array is allocated
+    import holant.graphs as graphs
+
+    gadget = petersen_minus_a_vertex(signature([1, 2, 1, 3]))
+    monkeypatch.setattr(graphs, "ENTRY_CAP", 128)
+    reference_compose_gadget(gadget, [1, 0, 1])  # its eight plans fit under the cap
+
+    def never(*args):
+        raise AssertionError("the contraction ran")
+
+    monkeypatch.setattr(graphs, "_contract", never)
+    with pytest.raises(GuardExceeded, match="512 entries"):
+        compose_gadget(gadget, [1, 0, 1])

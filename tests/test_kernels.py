@@ -244,7 +244,7 @@ def reference_series(c, phic, k):
 def _attempt(g, vals):
     f = signature(vals)
     outcome = classify(f)
-    return ev._Attempt(g, f, outcome.matrix, outcome.use_reversal, "constructive")
+    return ev._Attempt(g, f, outcome, "constructive")
 
 
 @pytest.mark.parametrize("dp", [0.185, 0.155])
@@ -361,9 +361,8 @@ def test_the_root_clearance_agrees_with_the_zero_count():
     pairs = 0
     for g, vals in SEED1_APPROX:
         f = signature(vals)
-        outcome, alt = classify(f), tr.margin_search(f)
-        for matrix, use_rev in ((outcome.matrix, outcome.use_reversal), (alt.matrix, alt.use_reversal)):
-            c = ev._Attempt(g, f, matrix, use_rev, "any").c
+        for transform in (classify(f), tr.margin_search(f)):
+            c = ev._Attempt(g, f, transform, "any").c
             roots = find_roots(Poly(tuple(c)))
             cv = c[: np.flatnonzero(c)[-1] + 1]
             for dp, phi in phis.items():

@@ -1,6 +1,7 @@
 """Invariants of the exact engine on generated multigraphs of up to 60
 edges, with self-loops and parallel edges: well past the old edge limits,
-with only the contraction plan guarding the work.  The Newton round trip
+with only the contraction plan guarding the work.  Gadget composition's
+one contraction against one per count vector.  The Newton round trip
 between coefficients and inverse power sums.  The rotated roots of the
 margin search against the polynomials they stand for.  And `holant
 approx` on generated signatures: right, refused or flagged, never a
@@ -23,10 +24,19 @@ from hypothesis import strategies as st
 from holant.coeffs import coeffs_from_power_sums, power_sums_from_coeffs
 from holant.cli import main
 from holant.formats import dump_graph
-from holant.graphs import Multigraph, _plan, brute_force_coeffs, brute_force_Z, complete, disjoint_union, random_regular
+from holant.graphs import (
+    Multigraph,
+    OpenGadget,
+    _plan,
+    brute_force_coeffs,
+    brute_force_Z,
+    complete,
+    disjoint_union,
+    random_regular,
+)
 from holant.signatures import SymmetricSignature, local_polynomial, reverse
 from holant.transform import apply_holographic, rotation_from_w, rotation_roots
-from test_graphs import reference_plan
+from test_graphs import assert_composes_as_the_reference, reference_plan
 
 PROFILE = settings(max_examples=20, derandomize=True, deadline=None)
 
@@ -135,6 +145,39 @@ def multigraphs(draw):
 def test_plan_matches_the_reference_planner(inst):
     g, live, strata = inst
     assert _plan(g, live, strata) == reference_plan(g, live, strata)
+
+
+@st.composite
+def gadgets(draw):
+    """(gadget, edge signature) with rational entries: 1-4 vertices joined
+    by 1-7 inner edges, self-loops and parallel edges included, maybe one
+    more vertex with no inner edge, and 1-4 dangling slots.  Half the
+    draws put every slot on one vertex, which makes the gadget symmetric;
+    the slots are listed one pair per slot or one pair per vertex."""
+    n = draw(st.integers(1, 4))
+    edges = [(v, draw(st.integers(0, n - 1))) for v in range(n)]  # no vertex without an edge
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=7 - n))
+    loose = draw(st.booleans())
+    holders = draw(st.lists(st.integers(0, n - 1 + loose), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        holders = [holders[0]] * len(holders)
+    if loose and n not in holders:
+        holders = [n] * len(holders)
+    if draw(st.booleans()):
+        dangling = tuple((v, 1) for v in holders)
+    else:
+        dangling = tuple((v, holders.count(v)) for v in sorted(set(holders)))
+    g = Multigraph(n + loose, tuple(edges))
+    arity = [d + holders.count(v) for v, d in enumerate(g.degrees())]
+    sigs = tuple(SymmetricSignature(tuple(draw(st.lists(RATIONALS, min_size=d + 1, max_size=d + 1)))) for d in arity)
+    return OpenGadget(g, dangling, sigs), draw(st.lists(RATIONALS, min_size=3, max_size=3))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(gadgets())
+def test_one_gadget_contraction_matches_one_per_count_vector(inst):
+    gadget, b = inst
+    assert_composes_as_the_reference(gadget, b)
 
 
 @st.composite
