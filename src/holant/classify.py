@@ -52,6 +52,7 @@ class ClassificationOutcome:
     matrix: Matrix2 = None
     use_reversal: bool = False
     certificate: StabilityCertificate = None
+    transform_source: str = None  # StableTransform: "constructive" or "margin-search"
 
 
 def pm_canonical_form(arity: int, ratio: float) -> SymmetricSignature:
@@ -134,6 +135,7 @@ def _stable_transform(g: SymmetricSignature, t: RecurrenceTriple, rev: bool) -> 
         matrix=st.matrix,
         use_reversal=rev ^ st.use_reversal,
         certificate=st.certificate,
+        transform_source=st.source,
     )
 
 

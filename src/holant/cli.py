@@ -4,8 +4,10 @@ Every subcommand prints a JSON run report (deterministic for fixed inputs
 and seeds; pass --timing to include wall time) or, with --quiet, just the
 scalar outcome.  Exit codes: 0 success, 1 bad input, 2 guard refusal,
 3 ferromagnetic-Ising label, 4 perfect-matching-equivalent label,
-5 open sine-profile label, 6 approximation not converged (the report is
-still printed, with ``converged: false``).  An outcome that is not finite
+5 open sine-profile label, 6 approximation not converged: a rung clears
+the roots of P_G but its estimates did not settle (the report is still
+printed, with ``converged: false``).  A run on which no rung clears those
+roots is refused with exit 2.  An outcome that is not finite
 in double precision (say, Z past 1.8e308) is refused with exit 2: nothing
 on stdout and a JSON refusal on stderr.  So is valid input on which a
 numerical step fails; exit 1 is for malformed input only.  ``approx`` reports

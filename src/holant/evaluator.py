@@ -13,16 +13,14 @@ exp(1/delta), so a certified delta below ~0.25 cannot converge within any
 practical budget.  At oracle scale the exact roots of P_G are available
 from the coefficient prefix itself, and each transform gets one rung: the
 largest phi parameter in [DP_MIN, DELTA_CAP/2] whose root preimages clear
-the unit disk by ROOT_CLEARANCE, found by bisection (or the certified
-parameter, when it is affordable and larger).  A stabilization test on the
-successive estimates (with a floor tied to the rung's own convergence
-scale) decides acceptance.
+the unit disk by ROOT_CLEARANCE, found by bisection.  A stabilization
+test on the successive estimates (with a floor tied to the rung's own
+convergence scale) decides acceptance.
 
-When no parameter clears, the transform is doomed: its rung at DP_MIN
-gives a best-effort record only.  For the constructive transform that
-rung runs last, after the margin search, and only when no rung was
-accepted.  A doomed rung's record is never converged, even where its stop
-test fires.
+Only a rung that clears the roots is run.  When no parameter clears, the
+transform is doomed: a root preimage lies inside the unit disk, so the
+series at 1 diverges, and the rung is reported in the verdicts but never
+evaluated.
 """
 
 from __future__ import annotations
@@ -237,35 +235,40 @@ def _root_clearance(roots: np.ndarray, dp: float) -> float:
     return float(np.min(mags)) if len(mags) else math.inf
 
 
-def _fit_rung(roots: np.ndarray):
-    """The largest phi parameter in [DP_MIN, DELTA_CAP/2] whose root
-    preimages clear the unit disk by ROOT_CLEARANCE, by bisection; None
-    when DP_MIN does not clear."""
+def _fit_rung(full_coeffs):
+    """(phi parameter, "sound"|"doomed", clearance) of a transform's rung:
+    the largest parameter in [DP_MIN, DELTA_CAP/2] whose root preimages
+    clear the unit disk by ROOT_CLEARANCE, by bisection, or DP_MIN, doomed,
+    when not even that clears.  The clearance is None when no root bounds
+    it."""
+    poly = Poly(tuple(full_coeffs))
+    roots = find_roots(poly) if poly.degree >= 1 else np.zeros(0, dtype=complex)
     lo, hi = DP_MIN, DELTA_CAP / 2.0
     if _root_clearance(roots, hi) >= ROOT_CLEARANCE:
-        return hi
-    if _root_clearance(roots, lo) < ROOT_CLEARANCE:
-        return None
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if _root_clearance(roots, mid) >= ROOT_CLEARANCE else (lo, mid)
-    return lo
+        lo = hi
+    elif _root_clearance(roots, lo) >= ROOT_CLEARANCE:
+        for _ in range(30):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _root_clearance(roots, mid) >= ROOT_CLEARANCE else (lo, mid)
+    clearance = _root_clearance(roots, lo)
+    verdict = "sound" if clearance >= ROOT_CLEARANCE else "doomed"
+    return lo, verdict, clearance if math.isfinite(clearance) else None
 
 
 def _series_estimates(c, phi: PhiMap, k: int):
-    """(T, zeros): T_j for j = 1..k of log(P composed with phi) at 1, P
-    real, by the trapezoidal rule on one circle, and the number of zeros
-    of P(phi(z)) inside |z| = 1 - 11/k (None when the count is nan).
+    """T_j for j = 1..k of log(P composed with phi) at 1, P real, by the
+    trapezoidal rule on one circle; None when the circle is not free of
+    zeros of P(phi(z)).
 
     The samples of z F'(z) = P'(phi) z phi' / P(phi), F = log P(phi(z)),
     at N = 2 * 2^ceil(log2(k+1)) points of |z| = rho = 1 - 11/k have the
     inverse FFT g with g_j = j F_j rho^j; aliasing is of order rho^N, at
     most e^-22.  g_0 is the number of zeros of P(phi(z)) inside the
-    circle (the argument principle).  Where it is not 0 the samples are
-    no Taylor coefficients, and rho is halved until it is: the true
-    series of a diverging rung then overflows, and the stop scan rejects
-    non-finite entries, so that noise is silenced here.  A nan count (a
-    sample on a zero) halves rho too, but proves no zero inside.
+    circle (the argument principle), the check on the rung's root
+    verdict.  Where it is not 0 the samples are no Taylor coefficients,
+    and a zero inside the circle lies inside the unit disk, where the
+    series at 1 diverges; a nan count (a sample on a zero) proves nothing
+    either way.  Both give no T.
     """
     n = 2 << k.bit_length()
     rho = 1.0 - 11.0 / k
@@ -274,13 +277,10 @@ def _series_estimates(c, phi: PhiMap, k: int):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         # np.fft is reached here: numpy loads its fft module on first use
         g = np.fft.irfft(_log_derivative_samples(cv, phi, rho, n), n)
-        zeros = round(float(g[0])) if math.isfinite(g[0]) else None
-        while not abs(g[0]) < 0.5:
-            rho /= 2.0
-            del g
-            g = np.fft.irfft(_log_derivative_samples(cv, phi, rho, n), n)
+        if not abs(g[0]) < 0.5:
+            return None
         j = np.arange(1, k + 1, dtype=float)
-        return np.cumsum(g[1 : k + 1] * rho**-j / j), zeros
+        return np.cumsum(g[1 : k + 1] * rho**-j / j)
 
 
 def _log_derivative_samples(cv, phi: PhiMap, rho: float, n: int) -> np.ndarray:
@@ -323,8 +323,8 @@ def _scan_stop(T: np.ndarray, eps: float, floor: int):
 
     Requires the last three T values pairwise within eps/4 and the value at
     j within eps/4 of the one at j//2 (log-space comparisons; relative
-    differences of exp agree to first order).  Non-finite values (a
-    diverging series overflows) never stabilize.
+    differences of exp agree to first order).  Non-finite values never
+    stabilize: their differences compare false.
     """
     T = np.asarray(T)
     j = np.arange(max(3, floor), len(T) + 1)
@@ -333,8 +333,7 @@ def _scan_stop(T: np.ndarray, eps: float, floor: int):
     tol = eps / 4.0
     t1, t2, t3, half = T[j - 1], T[j - 2], T[j - 3], T[j // 2 - 1]
     with np.errstate(invalid="ignore", over="ignore"):
-        ok = np.isfinite(t1) & np.isfinite(t2) & np.isfinite(t3) & np.isfinite(half)
-        ok &= (np.abs(t1 - t2) <= tol) & (np.abs(t1 - t3) <= tol) & (np.abs(t2 - t3) <= tol)
+        ok = (np.abs(t1 - t2) <= tol) & (np.abs(t1 - t3) <= tol) & (np.abs(t2 - t3) <= tol)
         ok &= np.abs(t1 - half) <= tol
     hits = np.flatnonzero(ok)
     return int(j[hits[0]]) if len(hits) else None
@@ -363,41 +362,35 @@ class _Attempt:
         self.gprime = SymmetricSignature(tuple(float(v) / self.g0 for v in transformed.values))
         self.delta_cert = strip_halfwidth(self.cert.eps)
         self.c = _coefficient_prefix(g, self.gprime)
-        self.verdict = _fit_attempt_rung(self.delta_cert, self.c)
+        self.verdict = _fit_rung(self.c)
         self.dp, kind, _ = self.verdict
         self.doomed = kind == "doomed"
 
     def run(self, eps: float, k0: int):
         """(self, T, phi, k, accepted_flag) for the rung's first stop, else
-        for its most stable record; None when every call overflowed at
-        once.  A doomed rung's stop is never an acceptance: its series
-        diverges, however settled its first terms look.  Nor is a stop
-        where P(phi(z)) has a zero inside |z| = 1 - 11/k: that zero lies in
-        the unit disk, so the series at 1 diverges at every k, and the rung
-        ends at that call, its record kept as a best effort only."""
+        for its most stable record (the smallest last step) once k reaches
+        K_GUARD.  None for a doomed rung, which is never run, and when a
+        call finds the circle not free of zeros: the root verdict failed
+        its check, and the attempt ends with no record."""
+        if self.doomed:
+            return None
         fallback = None
         phi = build_phi(self.dp)
         floor = _rung_floor(self.dp)
         k = min(max(k0, floor), K_GUARD)
         while True:
-            T, zeros = _series_estimates(self.c, phi, k)
+            T = _series_estimates(self.c, phi, k)
+            if T is None:
+                return None
             j = _scan_stop(T, eps, floor)
-            if j is not None and not zeros:
-                return self, T, phi, j, not self.doomed
-            if j is None:  # best-effort record: the longest representable prefix
-                finite = np.isfinite(T) & (np.abs(T) < 700.0)
-                j = int(np.argmin(finite)) if not finite.all() else k
-            if j >= 2:
-                tail = abs(float(T[j - 1] - T[j - 2]))
-                if fallback is None or tail < fallback[0]:
-                    fallback = (tail, T[:j], j)
-            if zeros or k >= K_GUARD:
-                break
+            if j is not None:
+                return self, T, phi, j, True
+            tail = abs(float(T[-1] - T[-2]))
+            if fallback is None or tail < fallback[0]:
+                fallback = (tail, T)
+            if k >= K_GUARD:
+                return self, fallback[1], phi, len(fallback[1]), False
             k = min(2 * k, K_GUARD)
-        if fallback is None:
-            return None
-        _, T, k = fallback
-        return self, T, phi, k, False
 
 
 def approximate_Z(
@@ -413,17 +406,16 @@ def approximate_Z(
     Z(G; f) = scale^|V| * Z(G; g') with g' the normalized transformed
     signature, and Z(G; g') is approximated by exp(T_k).
 
-    Each transform runs one rung, fitted to the roots of its P_G.  When
-    the classifier's constructive rung is not accepted (or no parameter
-    clears its roots: its margin only certifies a sliver of a strip), a
+    Each transform runs one rung, fitted to the roots of its P_G, and only
+    a sound rung (one whose roots clear the unit disk) is run.  When the
+    classifier's constructive rung is doomed or not accepted, a
     deterministic sweep over the rotation family retries with the
-    margin-maximizing transform before giving up.  A doomed constructive
-    rung is not run first: the margin search goes ahead, and the doomed
-    rung runs last, as a best-effort record, only when no rung was
-    accepted; that record is unconverged even if its stop test fires.  An
-    unaccepted constructive record still wins over an unaccepted
-    margin-search one.  A run whose every rung overflows at its first
-    terms, leaving no record at all, is refused with GuardExceeded.
+    margin-maximizing transform (a larger margin pushes the roots of P_G
+    away from the origin); the classifier's own fallback already is that
+    sweep's winner, and is not retried.  The first accepted record wins,
+    else the first sound unconverged one (reported with converged False).
+    A run with neither is refused with GuardExceeded: no rung clears the
+    roots of P_G.
     """
     if not (0.0 < eps < 1.0):
         raise ArgumentError("eps must lie in (0, 1)")
@@ -437,23 +429,20 @@ def approximate_Z(
         raise GuardExceeded(f"{g.m} edges exceeds the evaluator's limit of {EDGE_LIMIT}")
 
     k0 = int(math.ceil(4.0 * math.log(max(g.m, 2) / eps)))
-    constructive = _Attempt(g, f, outcome, "constructive")
-    built = [constructive]
-    # a rung outcome: (attempt, T, phi, k_used, accepted) or None
-    chosen = None if constructive.doomed else constructive.run(eps, k0)
-    if not _accepted(chosen):
+    # an outcome built by hand, with no search behind it, counts as constructive
+    source = outcome.transform_source or "constructive"
+    built = [_Attempt(g, f, outcome, source)]
+    records = [built[0].run(eps, k0)]  # each (attempt, T, phi, k_used, accepted) or None
+    if not (records[0] and records[0][-1]) and source != "margin-search":
         alt = margin_search(f)
-        if alt is not None and alt.certificate.margin > 1.05 * constructive.cert.margin:
-            built.append(_Attempt(g, f, alt, "margin-search"))
-            out = built[-1].run(eps, k0)
-            if chosen is None or _accepted(out):
-                chosen = out
-    if constructive.doomed and not _accepted(chosen):
-        chosen = constructive.run(eps, k0) or chosen
-    if chosen is None:
-        raise GuardExceeded("no rung gave a finite record: the log series diverged at its first terms")
-
-    attempt, T, phi, k_used, converged = chosen
+        if alt is not None and alt.certificate.margin > 1.05 * built[0].cert.margin:
+            built.append(_Attempt(g, f, alt, alt.source))
+            records.append(built[-1].run(eps, k0))
+    # the first accepted record, else the first unconverged one
+    records = sorted((r for r in records if r is not None), key=lambda r: not r[-1])
+    if not records:
+        raise GuardExceeded("no rung clears the roots of P_G")
+    attempt, T, phi, k_used, converged = records[0]
     t_final = float(T[k_used - 1])
     # log |Z| stays finite where g0**n or the estimate overflows
     log_scale = g.n * math.log(abs(attempt.g0))
@@ -475,7 +464,6 @@ def approximate_Z(
         "estimates": estimates,
         "phi_alpha": phi.alpha,
         "phi_order": phi.order,
-        "rung_sound": not attempt.doomed,
         "transform_source": attempt.label,
         "rung_verdicts": {a.label: [list(a.verdict)] for a in built},
         "self_check": self_check,
@@ -496,10 +484,6 @@ def approximate_Z(
     )
 
 
-def _accepted(out) -> bool:
-    return out is not None and out[-1]
-
-
 def _coefficient_prefix(g: Multigraph, gprime: SymmetricSignature):
     """All of Z_0..Z_m of P_G for the normalized signature.
 
@@ -510,19 +494,3 @@ def _coefficient_prefix(g: Multigraph, gprime: SymmetricSignature):
     """
     c = naive_low_coeffs(g, gprime, g.m)
     return np.asarray([float(np.real(x)) for x in c])
-
-
-def _fit_attempt_rung(delta_cert: float, full_coeffs):
-    """(phi parameter, "sound"|"doomed", clearance) of a transform's rung:
-    the fitted parameter, or the certified one when it is at least DP_MIN
-    and larger.  With neither, the rung sits at DP_MIN, doomed.  The
-    clearance is None for a certified rung or when no root bounds it."""
-    poly = Poly(tuple(full_coeffs))
-    roots = find_roots(poly) if poly.degree >= 1 else np.zeros(0, dtype=complex)
-    fitted = _fit_rung(roots)
-    cert_dp = delta_cert / 2.0
-    if cert_dp >= DP_MIN and (fitted is None or cert_dp > fitted):
-        return cert_dp, "sound", None
-    dp = DP_MIN if fitted is None else fitted
-    clearance = _root_clearance(roots, dp)
-    return dp, "doomed" if fitted is None else "sound", clearance if math.isfinite(clearance) else None

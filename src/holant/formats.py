@@ -185,7 +185,6 @@ def approx_to_json(res: ApproxResult) -> dict:
         "converged": res.converged,
         "diagnostics": {
             "stop_window": [float(x) for x in window],
-            "rung_sound": res.diagnostics["rung_sound"],
             "self_check": res.diagnostics["self_check"],
             "transform_source": res.diagnostics["transform_source"],
             "rung_verdicts": res.diagnostics["rung_verdicts"],

@@ -56,6 +56,8 @@ class Multigraph:
     edges: tuple
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ArgumentError("vertex count must be non-negative")
         object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
         for u, v in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -377,6 +379,8 @@ class OpenGadget:
         deg = self.graph.degrees()
         extra = [0] * self.graph.n
         for v, c in self.dangling:
+            if not (0 <= v < self.graph.n and c >= 0):
+                raise ArgumentError(f"dangling entry ({v}, {c}): needs a gadget vertex and a count >= 0")
             extra[v] += c
         for v, s in enumerate(self.assign):
             if deg[v] + extra[v] != s.arity:

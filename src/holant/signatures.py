@@ -162,11 +162,13 @@ def detect_recurrence(f: SymmetricSignature):
         return None
     null_dim = int(np.sum(svals <= RECURRENCE_ACCEPT * scale))
     basis = vh[3 - null_dim :]
-    # prefer a canonical basis vector when one lies in the nullspace
+    # prefer a canonical basis vector when one lies in the nullspace and
+    # passes the acceptance bound itself: a null direction within 1e-9 of
+    # it can still leave a residual the bound rejects
     direction = None
     for e in (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
         proj = basis.T @ (basis @ e)
-        if np.linalg.norm(proj) >= 1.0 - 1e-9:
+        if np.linalg.norm(proj) >= 1.0 - 1e-9 and np.linalg.norm(rows @ e) <= RECURRENCE_ACCEPT * scale:
             direction = e
             break
     if direction is None:

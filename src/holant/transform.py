@@ -346,11 +346,13 @@ def pair_decompose(f: SymmetricSignature, t: RecurrenceTriple) -> PairDecomposit
 
 @dataclass(frozen=True)
 class StableTransform:
-    """Orthogonal matrix stabilizing f (or its reversal) plus the certificate."""
+    """Orthogonal matrix stabilizing f (or its reversal) plus the certificate,
+    and where it came from: "constructive" or "margin-search"."""
 
     matrix: Matrix2
     use_reversal: bool
     certificate: StabilityCertificate
+    source: str
 
 
 def _validate(f: SymmetricSignature, M: Matrix2, use_reversal: bool):
@@ -437,7 +439,7 @@ def find_stabilizing_transform(f: SymmetricSignature, triple: RecurrenceTriple =
     if candidate is not None:
         cert = _validate(f, *candidate)
         if cert is not None:
-            return StableTransform(*candidate, cert)
+            return StableTransform(*candidate, cert, "constructive")
     return margin_search(f)
 
 
@@ -505,7 +507,7 @@ def margin_search(f: SymmetricSignature):
         M = rotation_from_w(math.tan(th), conv)
         cert = _validate(f, M, use_rev)
         if cert is not None:
-            return StableTransform(M, use_rev, cert)
+            return StableTransform(M, use_rev, cert, "margin-search")
     return None
 
 

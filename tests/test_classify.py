@@ -13,7 +13,7 @@ from holant.classify import (
     sine_profile,
 )
 from holant.errors import ArgumentError
-from holant.signatures import local_polynomial, reverse, signature
+from holant.signatures import RECURRENCE_ACCEPT, detect_recurrence, local_polynomial, reverse, signature
 from holant.stability import find_roots
 from holant.transform import apply_holographic
 
@@ -165,6 +165,22 @@ def test_a_construction_that_a_grid_missed_classifies(vals):
     # the construction's w is 0.0085 and 0.0068: a sweep of w in steps of
     # 0.01 misses the stable window
     assert classify(signature(vals)).tag == "StableTransform"
+
+
+@pytest.mark.parametrize("vals", [[1.0, 399.31947386238073, 0.0, 0.017806195372254918],
+                                  [1.0, 832.6487304266384, 0.0, 0.015619985446824414]])
+def test_a_canonical_triple_that_misses_f_is_not_taken(vals):
+    # the null direction lies within 1e-9 of (0, 0, 1), but that triple
+    # leaves f's last entry as its residual, far above the acceptance bound;
+    # it once sent classify down the disc <= 0 branch, where nothing
+    # validated (a refusal).  The true triple has disc > 0
+    f = signature(vals)
+    t = detect_recurrence(f)
+    assert (t.a, t.c) != (0.0, 1.0) and t.discriminant > 0
+    rows = np.array([vals[:-2], vals[1:-1], vals[2:]]).T
+    assert np.linalg.norm(rows @ [t.a, t.b, t.c]) <= RECURRENCE_ACCEPT * max(vals) * np.linalg.norm([t.a, t.b, t.c])
+    out = classify(f)
+    assert out.tag == "StableTransform" and out.transform_source == "constructive"
 
 
 def seeded_signatures(n: int, seed: int = 1) -> list:

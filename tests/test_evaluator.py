@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from test_kernels import NONCONV9X4, PETERSEN, reference_series
+from test_kernels import NONCONV9X4, PETERSEN
 
 from holant.coeffs import power_sums_from_coeffs
 from holant.errors import ArgumentError, GuardExceeded
@@ -248,30 +248,75 @@ def test_doomed_constructive_ladder_waits_for_the_margin_search(monkeypatch):
     assert res.k_used == 262
 
 
-def test_doomed_ladder_still_gives_the_best_effort_record(monkeypatch):
-    # with no margin-search transform the doomed rung runs after all, and
-    # the unconverged record is the one it gave when it ran first
-    import holant.evaluator as ev
+def test_doomed_ladder_still_gives_the_best_effort_record(monkeypatch, tmp_path, capsys):
+    # the constructive rung is doomed and the margin search's sound rung
+    # never stops: the best-effort record is the sound rung's most stable
+    # one, the doomed rung is never run, and the CLI exits 6
+    import json
 
-    monkeypatch.setattr(ev, "margin_search", lambda f: None)
+    import holant.evaluator as ev
+    from holant.cli import EXIT_UNCONVERGED, main
+    from holant.formats import dump_graph
+
+    monkeypatch.setattr(ev, "_scan_stop", lambda T, eps, floor: None)
     attempts, series = _record_attempts_and_series(monkeypatch)
     res = approximate_Z(complete(4), signature([1, 2, 3, 4]), 0.05)
-    (constructive,) = attempts
-    assert series and all(c is constructive.c for c in series)
+    constructive, searched = attempts
+    assert constructive.doomed and not searched.doomed
+    assert series and all(c is searched.c for c in series)
     assert not res.converged
-    assert res.k_used == 4
-    assert res.delta == 0.25
-    assert res.diagnostics["transform_source"] == "constructive"
-    assert res.diagnostics["rung_sound"] is False
-    # the record's four estimates against the 50-digit composition and
-    # series; Newton's step-by-step recurrence is itself off by 2.5e-12
-    # relative at the fourth, whose log is -185
-    want = constructive.g0**4 * np.exp(reference_series(constructive.c, build_phi(0.125).prefix(4), 4))
-    got = np.array(res.diagnostics["estimates"])
-    assert np.max(np.abs(got / want - 1)) <= 1e-12
-    assert want[0] == pytest.approx(337.4681253982189, rel=1e-12)
-    assert res.estimate == got[-1]
-    assert list(res.diagnostics["rung_verdicts"]) == ["constructive"]
+    assert res.diagnostics["transform_source"] == "margin-search"
+    assert res.delta == 0.45 and res.k_used == 4096
+    verdicts = res.diagnostics["rung_verdicts"]
+    assert [v for _, v, _ in verdicts["constructive"]] == ["doomed"]
+    assert [v for _, v, _ in verdicts["margin-search"]] == ["sound"]
+    sig, graph = tmp_path / "f.sig", tmp_path / "k4.graph"
+    sig.write_text("sig d=3 [1,2,3,4]\n")
+    graph.write_text(dump_graph(complete(4)))
+    assert main(["approx", str(sig), str(graph), "--eps", "0.05"]) == EXIT_UNCONVERGED
+    assert json.loads(capsys.readouterr().out)["outcome"]["converged"] is False
+
+
+def _refuse_k4_with_only_the_doomed_rung(tmp_path, capsys):
+    # with no margin-search transform only the doomed constructive rung of
+    # [1,2,3,4] on K4 is left: the run is refused (exit 2) with the reason
+    import json
+
+    from holant.cli import EXIT_GUARD, main
+    from holant.formats import dump_graph
+
+    with pytest.raises(GuardExceeded, match="no rung clears the roots of P_G"):
+        approximate_Z(complete(4), signature([1, 2, 3, 4]), 0.05)
+    sig, graph = tmp_path / "f.sig", tmp_path / "k4.graph"
+    sig.write_text("sig d=3 [1,2,3,4]\n")
+    graph.write_text(dump_graph(complete(4)))
+    assert main(["approx", str(sig), str(graph), "--eps", "0.05"]) == EXIT_GUARD
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["refusal"] == "no rung clears the roots of P_G"
+
+
+def test_a_doomed_rung_is_refused_and_never_run(monkeypatch, tmp_path, capsys):
+    # its series at 1 diverges, so the kernel is never called on it
+    import holant.evaluator as ev
+
+    def never(*args):
+        raise AssertionError("a doomed rung was run")
+
+    monkeypatch.setattr(ev, "margin_search", lambda f: None)
+    monkeypatch.setattr(ev, "_series_estimates", never)
+    _refuse_k4_with_only_the_doomed_rung(tmp_path, capsys)
+
+
+def test_a_doomed_rung_that_stops_is_still_unconverged(monkeypatch, tmp_path, capsys):
+    # a stop test that fires at once gives the doomed rung no record: it is
+    # never run, so nothing is accepted and the run is refused
+    import holant.evaluator as ev
+
+    attempts, series = _record_attempts_and_series(monkeypatch)
+    monkeypatch.setattr(ev, "margin_search", lambda f: None)
+    monkeypatch.setattr(ev, "_scan_stop", lambda T, eps, floor: 3)
+    _refuse_k4_with_only_the_doomed_rung(tmp_path, capsys)
+    assert attempts and all(a.doomed for a in attempts) and series == []
 
 
 def test_rung_verdicts_in_the_report():
@@ -294,74 +339,60 @@ def test_rung_verdicts_in_the_report():
     assert res.delta == 2 * dp and dp > res.delta_certified / 2.0
 
 
-def test_the_certified_parameter_takes_the_rung_when_larger():
+def test_the_rung_is_fitted_to_the_roots_alone():
     import holant.evaluator as ev
 
     # P = 1 + 20 z: the root -0.05 has a preimage inside the disk at every
-    # parameter in [DP_MIN, DELTA_CAP/2], so the roots alone doom the rung
-    c = [1.0, 20.0]
-    assert ev._fit_rung(np.array([-0.05 + 0j])) is None
-    dp, verdict, clearance = ev._fit_attempt_rung(0.01, c)
+    # parameter in [DP_MIN, DELTA_CAP/2], so the rung is doomed at DP_MIN
+    dp, verdict, clearance = ev._fit_rung([1.0, 20.0])
     assert (dp, verdict) == (0.125, "doomed")
     assert clearance == pytest.approx(math.expm1(0.4) / -math.expm1(-8.0))
-    # an affordable certified parameter needs no roots, and wins
-    assert ev._fit_attempt_rung(0.3, c) == (0.15, "sound", None)
     # a root-free P_G clears the disk at the largest parameter
-    assert ev._fit_attempt_rung(0.3, [1.0]) == (0.225, "sound", None)
-
-
-def test_a_doomed_rung_that_stops_is_still_unconverged(monkeypatch, tmp_path, capsys):
-    # the stop test fires on the doomed rung: the record it gives is kept,
-    # but it is not an acceptance, and the CLI exits 6
-    import json
-
-    import holant.evaluator as ev
-    from holant.cli import EXIT_UNCONVERGED, main
-    from holant.formats import dump_graph
-
-    monkeypatch.setattr(ev, "margin_search", lambda f: None)
-    monkeypatch.setattr(ev, "_scan_stop", lambda T, eps, floor: 3)
-    res = approximate_Z(complete(4), signature([1, 2, 3, 4]), 0.05)
-    assert not res.converged
-    assert res.k_used == 3
-    assert res.diagnostics["transform_source"] == "constructive"
-    assert {v for _, v, _ in res.diagnostics["rung_verdicts"]["constructive"]} == {"doomed"}
-    sig, graph = tmp_path / "f.sig", tmp_path / "k4.graph"
-    sig.write_text("sig d=3 [1,2,3,4]\n")
-    graph.write_text(dump_graph(complete(4)))
-    assert main(["approx", str(sig), str(graph), "--eps", "0.05"]) == EXIT_UNCONVERGED
-    assert json.loads(capsys.readouterr().out)["outcome"]["converged"] is False
+    assert ev._fit_rung([1.0]) == (0.225, "sound", None)
+    # the certified width is reported beside the fitted one, and takes no part
+    res = approximate_Z(complete(4), signature([1, 1, 0, 0]), 0.05)
+    [(dp, verdict, _)] = res.diagnostics["rung_verdicts"]["constructive"]
+    assert (res.delta, verdict) == (2 * dp, "sound") and res.delta_certified < res.delta
 
 
 def test_a_counted_zero_ends_the_rung_at_its_first_call(monkeypatch):
-    # the doomed constructive rung of [1,2,3,4] on K4 has zeros of
-    # P(phi(z)) inside the first circle, so its series at 1 diverges: the
-    # rung ends after one call instead of doubling k to K_GUARD, and the
-    # record is the same
+    # a sound rung whose first circle counts a zero of P(phi(z)) inside it
+    # (here by a sample that says so) has failed the check on its root
+    # verdict: the attempt ends at that call with no record, and with no
+    # other transform the run is refused
     import holant.evaluator as ev
 
     monkeypatch.setattr(ev, "margin_search", lambda f: None)
-    kernel, calls = ev._series_estimates, []
+    samples, calls = ev._log_derivative_samples, []
 
-    def record(hide_count):
-        def series(c, phi, k):
-            calls.append((phi.delta, k))
-            T, zeros = kernel(c, phi, k)
-            return T, None if hide_count else zeros
+    def one_zero_inside(cv, phi, rho, n):
+        calls.append(rho)
+        return samples(cv, phi, rho, n) + 1.0  # g_0 grows by one
 
-        return series
+    monkeypatch.setattr(ev, "_log_derivative_samples", one_zero_inside)
+    with pytest.raises(GuardExceeded, match="no rung clears the roots of P_G"):
+        approximate_Z(complete(4), signature([1, 1, 0, 0]), 0.05)
+    assert len(calls) == 1
 
-    results = []
-    for hide_count in (False, True):
-        calls.clear()
-        monkeypatch.setattr(ev, "_series_estimates", record(hide_count))
-        results.append(approximate_Z(complete(4), signature([1, 2, 3, 4]), 0.05))
-        if not hide_count:
-            assert calls == [(0.125, 4472)]
-    assert calls == [(0.125, 4472), (0.125, 6000)]
-    counted, hidden = results
-    assert not counted.converged and (counted.k_used, counted.delta) == (4, 0.25)
-    assert (counted.estimate, counted.k_used, counted.delta) == (hidden.estimate, hidden.k_used, hidden.delta)
+
+def test_a_converged_fallback_of_the_classifier_is_labelled_and_not_searched_again(monkeypatch):
+    # the construction fails its check here, so the classifier's transform
+    # is the margin search's winner: the report says so, and the evaluator
+    # does not run the same search again
+    import holant.evaluator as ev
+    from holant.classify import classify
+
+    f = signature([1.0, 1.367317244433136, 1.8918822175832215, 0.0])
+    assert classify(f).transform_source == "margin-search"
+
+    def never(f):
+        raise AssertionError("the margin search ran again")
+
+    monkeypatch.setattr(ev, "margin_search", never)
+    res = approximate_Z(complete(4), f, 0.05)
+    assert res.converged and abs(res.estimate / float(brute_force_Z(complete(4), f)) - 1) <= 0.05
+    assert res.diagnostics["transform_source"] == "margin-search"
+    assert list(res.diagnostics["rung_verdicts"]) == ["margin-search"]
 
 
 def test_nonconv9x4_converges_on_its_fitted_rung():

@@ -257,8 +257,7 @@ def test_sampled_series_matches_a_50_digit_reference(n, dp):
     want = reference_series(c, phi.prefix(ev.K_GUARD), ev.K_GUARD)
     floor = ev._rung_floor(dp)
     for k in (floor, 2 * floor, ev.K_GUARD):
-        got, zeros = ev._series_estimates(c, phi, k)
-        assert zeros == 0
+        got = ev._series_estimates(c, phi, k)
         assert got.shape == (k,) and got.dtype == float
         assert np.max(np.abs(got - want[:k])) <= 1e-10
 
@@ -272,40 +271,33 @@ NONCONV9X4 = ((0, 8), (3, 4), (2, 4), (1, 6), (3, 7), (0, 6), (0, 1), (1, 3), (3
 
 def test_a_zero_inside_the_circle_yields_no_stop():
     # P(phi(z)) has a zero inside |z| = 1 - 11/k here; samples around it
-    # are no Taylor coefficients, and read as such they settle on a wrong
-    # value.  The zero count shrinks the circle, and the true series
-    # diverges.
+    # are no Taylor coefficients, and read as such they once settled on a
+    # wrong value.  The zero count turns every call down.
     c = _attempt(Multigraph(9, NONCONV9X4), [1, 1, 0, 0, 0]).c
     dp = 0.155
     phi, floor = ev.build_phi(dp), ev._rung_floor(dp)
-    k = floor
-    while True:
-        T, zeros = ev._series_estimates(c, phi, k)
-        assert zeros >= 1
-        assert ev._scan_stop(T, 0.05, floor) is None
-        if k == ev.K_GUARD:
-            break
-        k = min(2 * k, ev.K_GUARD)
+    assert ev._root_clearance(find_roots(Poly(tuple(c))), dp) < 1.0
+    for k in (floor, 2 * floor, ev.K_GUARD):
+        assert ev._series_estimates(c, phi, k) is None
 
 
-def test_a_nan_count_halves_rho_but_counts_no_zero(monkeypatch):
+def test_a_nan_count_gives_no_series(monkeypatch):
     # a sample on a zero makes the count nan: no Taylor coefficients come
-    # from that circle, but no zero inside it is proven either
+    # from that circle, and no second circle is tried
     c = _attempt(random_regular(12, 3, seed=1), [1, 1, 0, 0]).c
     phi, k = ev.build_phi(0.185), ev._rung_floor(0.185)
     samples, radii = ev._log_derivative_samples, []
 
-    def first_circle_meets_a_zero(cv, phi, rho, n):
+    def circle_meets_a_zero(cv, phi, rho, n):
         radii.append(rho)
         out = samples(cv, phi, rho, n)
-        if len(radii) == 1:
-            out[1] = np.nan
+        out[1] = np.nan
         return out
 
-    monkeypatch.setattr(ev, "_log_derivative_samples", first_circle_meets_a_zero)
-    _, zeros = ev._series_estimates(c, phi, k)
-    assert zeros is None
-    assert radii == [1.0 - 11.0 / k, (1.0 - 11.0 / k) / 2.0]
+    assert ev._series_estimates(c, phi, k) is not None
+    monkeypatch.setattr(ev, "_log_derivative_samples", circle_meets_a_zero)
+    assert ev._series_estimates(c, phi, k) is None
+    assert radii == [1.0 - 11.0 / k]
 
 
 PETERSEN = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 7), (6, 8), (7, 9), (8, 5), (9, 6),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from holant.classify import classify
-from holant.errors import HolantError
+from holant.errors import GuardExceeded, HolantError
 from holant.evaluator import approximate_Z
 from holant.graphs import Multigraph, brute_force_Z, complete, random_regular
 from holant.signatures import signature
@@ -79,7 +79,7 @@ def test_random_stable_signatures_match_oracle():
     # a converged run must meet its tolerance; signatures whose transformed
     # edge polynomial has roots within ~0.09 of the origin are beyond any
     # affordable truncation (the map needs exp(O(1/delta)) terms) and must
-    # come back flagged instead of wrong
+    # come back flagged (unconverged) or refused instead of wrong
     rng = np.random.default_rng(2024)
     g = random_regular(8, 3, seed=77)
     gf = random_regular(8, 3, seed=78)
@@ -96,7 +96,11 @@ def test_random_stable_signatures_match_oracle():
             continue
         for graph in (g, gf):
             truth = float(brute_force_Z(graph, signature([float(v) for v in vals])))
-            res = approximate_Z(graph, f, 0.05, out)
+            try:
+                res = approximate_Z(graph, f, 0.05, out)
+            except GuardExceeded as exc:
+                assert "no rung clears the roots" in str(exc)
+                continue
             if res.converged:
                 converged += 1
                 assert abs(res.estimate / truth - 1) <= 0.05, (vals, res.estimate, truth)

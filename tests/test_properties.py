@@ -297,3 +297,114 @@ def test_approx_answers_refuses_or_flags(run):
         got = outcome["estimate"] if "estimate" in outcome else outcome["value"]
         truth = float(brute_force_Z(g, SymmetricSignature(tuple(vals))))
         assert abs(got - truth) <= eps * abs(truth)
+
+
+# Parser fuzzing: valid texts, each with at most one field, token or index
+# broken.  Every integer a text can declare is drawn from a small range: a
+# graph header that declares billions of vertices would allocate a list of
+# that length, which is not tested here.
+SMALL_INTS = st.integers(-2, 6)
+JUNK_TOKENS = st.sampled_from(["", "x", "1.5", "-1", "1/2", "1/0", "nan", "inf", "1e3", "#", "[", ",", "true"])
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), SMALL_INTS, st.floats(-3, 3), st.sampled_from(["1/2", "x", "1/0"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.sampled_from(["a", "f"]), inner, max_size=2)),
+    max_leaves=6,
+)
+ENTRIES = st.lists(st.one_of(st.integers(0, 3), st.sampled_from(["1/2", 0.25])), min_size=4, max_size=6)
+
+
+def _break_one(draw, tokens: list) -> list:
+    """tokens, or tokens with one replaced by junk, dropped or doubled."""
+    how = draw(st.sampled_from(("keep", "junk", "drop", "double")))
+    if how == "keep" or not tokens:
+        return tokens
+    i = draw(st.integers(0, len(tokens) - 1))
+    fresh = {"junk": [draw(JUNK_TOKENS)], "drop": [], "double": [tokens[i], tokens[i]]}[how]
+    return tokens[:i] + fresh + tokens[i + 1 :]
+
+
+@st.composite
+def signature_texts(draw):
+    values = draw(ENTRIES)
+    if draw(st.booleans()):
+        head = ["sig", f"d={len(values) - 1}"] + [str(v) for v in values]
+        head = _break_one(draw, head)
+        return f"{' '.join(head[:2])} [{','.join(head[2:])}]\n"
+    doc = {"arity": len(values) - 1, "values": values}
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JSON_VALUES)
+    return json.dumps(doc)
+
+
+@st.composite
+def graph_texts(draw):
+    g = draw(st.sampled_from((complete(4), random_regular(6, 3, 1), random_regular(8, 3, 2))))
+    edges = draw(st.permutations(g.edges))
+    lines = [[str(g.n), str(g.m)]] + [[str(u), str(v)] for u, v in edges]
+    i = draw(st.integers(0, len(lines) - 1))
+    lines[i] = _break_one(draw, lines[i])
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@st.composite
+def gadget_texts(draw):
+    n = draw(st.integers(1, 4))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=4))
+    dangling = draw(st.lists(st.tuples(vertex, st.integers(1, 2)), max_size=3))
+    arity = [0] * n
+    for u, v in edges:
+        arity[u] += 1
+        arity[v] += 1
+    for v, c in dangling:
+        arity[v] += c
+    dangling += [(v, 1) for v in range(n) if not arity[v]]  # no vertex of arity 0
+    arity = [d or 1 for d in arity]
+    doc = {
+        "n": n,
+        "edges": edges,
+        "dangling": dangling,
+        "signatures": {f"a{d}": {"values": draw(st.lists(st.integers(0, 3), min_size=d + 1, max_size=d + 1))} for d in set(arity)},
+        "assign": [f"a{d}" for d in arity],
+        "edge_signature": draw(st.lists(st.integers(0, 3), min_size=3, max_size=3)),
+    }
+    how = draw(st.sampled_from(("keep", "field", "drop", "index")))
+    key = draw(st.sampled_from(sorted(doc)))
+    if how == "field":
+        doc[key] = draw(JSON_VALUES)
+    elif how == "drop":
+        del doc[key]
+    elif how == "index" and (edges or dangling):
+        pairs = draw(st.sampled_from([name for name in ("edges", "dangling") if doc[name]]))
+        i = draw(st.integers(0, len(doc[pairs]) - 1))
+        doc[pairs][i] = (draw(SMALL_INTS), doc[pairs][i][1])
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(
+    st.tuples(st.sampled_from(("classify", "exact", "approx")), st.just("signature"), signature_texts()),
+    st.tuples(st.sampled_from(("exact", "approx")), st.just("graph"), graph_texts()),
+    st.tuples(st.just("gadget"), st.just("gadget"), gadget_texts()),
+))
+def test_any_input_text_exits_0_to_6_with_the_error_contract(case):
+    # signature, graph or gadget text, valid or not: exit 1 is the JSON
+    # error contract, and nothing raises
+    command, slot, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"signature": f"{tmp}/f.sig", "graph": f"{tmp}/g.graph", "gadget": f"{tmp}/g.json"}
+        with open(files["signature"], "w") as fh:
+            fh.write("sig d=3 [1,1,0,0]\n")
+        with open(files["graph"], "w") as fh:
+            fh.write(dump_graph(complete(4)))
+        with open(files[slot], "w") as fh:
+            fh.write(text)
+        argv = [command] + ([files["gadget"]] if command == "gadget" else [files["signature"]])
+        if command in ("exact", "approx"):
+            argv.append(files["graph"])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in range(7)
+    if code == 1:
+        assert out.getvalue() == "" and "error" in json.loads(err.getvalue())
