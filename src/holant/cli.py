@@ -72,23 +72,24 @@ _TAG_EXIT = {
 }
 
 
-def _digest(path: str) -> str:
+def _read(path: str, inputs: dict = None, name: str = None) -> str:
+    """The text of the file at ``path``, read once: its bytes are decoded
+    as a text-mode open() would (UTF-8, universal newlines), and the first
+    16 hex digits of their sha256 go to ``inputs[name]`` for the report."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
-
-
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        data = fh.read()
+    if inputs is not None:
+        inputs[name] = hashlib.sha256(data).hexdigest()[:16]
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _report(args, inputs: dict, outcome: dict, started: float, quiet_value=None) -> None:
-    """Print the report, or its scalar under --quiet; an outcome that holds
-    an infinity or a NaN is refused with GuardExceeded, before anything is
-    printed."""
+    """Print the report, or its scalar under --quiet; ``inputs`` maps each
+    input's name to its digest.  An outcome that holds an infinity or a
+    NaN is refused with GuardExceeded, before anything is printed."""
     doc = {
         "command": args.command,
-        "inputs": {k: _digest(v) for k, v in inputs.items()},
+        "inputs": inputs,
         "outcome": outcome,
     }
     if args.timing:
@@ -115,18 +116,19 @@ def _load_graph(args):
 
 def cmd_classify(args) -> int:
     started = time.perf_counter()
-    sig = formats.parse_signature(_read(args.signature))
+    inputs = {}
+    sig = formats.parse_signature(_read(args.signature, inputs, "signature"))
     outcome = classify(sig)
-    _report(args, {"signature": args.signature}, formats.outcome_to_json(outcome), started, outcome.tag)
+    _report(args, inputs, formats.outcome_to_json(outcome), started, outcome.tag)
     return _TAG_EXIT.get(outcome.tag, EXIT_OK)
 
 
 def cmd_approx(args) -> int:
     started = time.perf_counter()
-    sig = formats.parse_signature(_read(args.signature))
-    g = formats.parse_graph(_read(args.graph))
+    inputs = {}
+    sig = formats.parse_signature(_read(args.signature, inputs, "signature"))
+    g = formats.parse_graph(_read(args.graph, inputs, "graph"))
     outcome = classify(sig)
-    inputs = {"signature": args.signature, "graph": args.graph}
 
     if outcome.tag == STABLE_TRANSFORM:
         res = approximate_Z(g, sig, args.eps, outcome)
@@ -155,18 +157,20 @@ def cmd_approx(args) -> int:
 
 def cmd_exact(args) -> int:
     started = time.perf_counter()
-    sig = formats.parse_signature(_read(args.signature))
-    g = formats.parse_graph(_read(args.graph))
+    inputs = {}
+    sig = formats.parse_signature(_read(args.signature, inputs, "signature"))
+    g = formats.parse_graph(_read(args.graph, inputs, "graph"))
     val = brute_force_Z(g, sig)
     doc = {"value": formats.number_to_json(val), "exact": sig.is_exact}
-    _report(args, {"signature": args.signature, "graph": args.graph}, doc, started, val)
+    _report(args, inputs, doc, started, val)
     return EXIT_OK
 
 
 def cmd_coeffs(args) -> int:
     started = time.perf_counter()
-    sig = formats.parse_signature(_read(args.signature))
-    g = formats.parse_graph(_read(args.graph))
+    inputs = {}
+    sig = formats.parse_signature(_read(args.signature, inputs, "signature"))
+    g = formats.parse_graph(_read(args.graph, inputs, "graph"))
     norm, scale, rev = normalize_leading(sig)
     if args.engine == "naive":
         c = naive_low_coeffs(g, norm, args.k)
@@ -183,7 +187,7 @@ def cmd_coeffs(args) -> int:
         "coeffs": coeff_json,
         "power_sums": [formats.number_to_json(x) for x in p.values],
     }
-    _report(args, {"signature": args.signature, "graph": args.graph}, doc, started)
+    _report(args, inputs, doc, started)
     return EXIT_OK
 
 
@@ -201,10 +205,11 @@ def cmd_zeros(args) -> int:
 
 def cmd_gadget(args) -> int:
     started = time.perf_counter()
-    gadget, edge_sig = formats.parse_gadget(_read(args.gadget))
+    inputs = {}
+    gadget, edge_sig = formats.parse_gadget(_read(args.gadget, inputs, "gadget"))
     eff = compose_gadget(gadget, edge_sig)
     doc = {"effective_signature": [formats.number_to_json(x) for x in eff]}
-    _report(args, {"gadget": args.gadget}, doc, started)
+    _report(args, inputs, doc, started)
     return EXIT_OK
 
 

@@ -261,16 +261,16 @@ def _series_estimates(c, phi: PhiMap, k: int):
     zeros of P(phi(z)).
 
     The samples of z F'(z) = P'(phi) z phi' / P(phi), F = log P(phi(z)),
-    at N = 2 * 2^ceil(log2(k+1)) points of |z| = rho = 1 - 11/k have the
-    inverse FFT g with g_j = j F_j rho^j; aliasing is of order rho^N, at
-    most e^-22.  g_0 is the number of zeros of P(phi(z)) inside the
-    circle (the argument principle), the check on the rung's root
-    verdict.  Where it is not 0 the samples are no Taylor coefficients,
+    at N points of |z| = rho = 1 - 11/k, N the smallest power of two
+    >= 2k, have the inverse FFT g with g_j = j F_j rho^j; aliasing is of
+    order rho^N <= rho^(2k), at most e^-22.  g_0 is the number of zeros
+    of P(phi(z)) inside the circle (the argument principle), the check on
+    the rung's root verdict.  Where it is not 0 the samples are no Taylor coefficients,
     and a zero inside the circle lies inside the unit disk, where the
     series at 1 diverges; a nan count (a sample on a zero) proves nothing
     either way.  Both give no T.
     """
-    n = 2 << k.bit_length()
+    n = 2 << (k - 1).bit_length()
     rho = 1.0 - 11.0 / k
     cv = np.asarray(c, dtype=float)
     cv = cv[: np.flatnonzero(cv)[-1] + 1]

@@ -9,9 +9,17 @@ some but not all of its edges placed.  Placing an edge adds a copy of the
 state shifted by one on the degree axis and on both endpoint axes (by two
 on a self-loop's axis); a vertex whose last edge is placed is contracted
 with its signature.  brute_force_Z needs no strata and keeps the degree
-axis at length 1; a prefix Z_0..Z_k cuts it at k + 1.  Edges are placed
-in a greedy order that keeps the state small, and the largest state of
-that order is sized before any work starts.  That size, not the edge
+axis at length 1; a prefix Z_0..Z_k cuts it at k + 1.
+
+Planning and running are apart.  The planner (_plan) places edges in a
+greedy order that keeps the state small and works out, once, every shape
+the state takes: per edge, the axes it adds, the grown shape and the
+slices that copy and shift the state into it, and per finished vertex
+the axis order, row length and output shape of its contraction.  The
+executor (_contract) runs that schedule: two slice assignments per edge,
+and one matrix product of the state's rows with the vertex's table per
+finished vertex, with one table per distinct signature.  The largest
+state is thus known before any work starts.  That size, not the edge
 count, sets the cost, so it is the only guard on exact work: a plan
 above ENTRY_CAP entries is refused with GuardExceeded before any array
 is allocated, and any plan below it runs.
@@ -182,7 +190,11 @@ def _live_lengths(sigs, opened: list) -> list:
 
 
 def _plan(g: Multigraph, live: list, strata: int, opened: list = None):
-    """Greedy edge order and the entry count of the largest state it builds.
+    """(order, peak, steps, final): a greedy edge order, the entry count of
+    the largest state it builds, the steps that build it, and the axis
+    order that puts the result's open axes in vertex order (or None).
+    Steps stop being kept once the peak passes ENTRY_CAP, since such a
+    plan is refused, not run.
 
     ``strata`` is the length the degree axis may reach (0: no degree axis).
     ``opened`` is, per vertex, the length of the open axis that its table
@@ -192,21 +204,36 @@ def _plan(g: Multigraph, live: list, strata: int, opened: list = None):
     the lowest edge index), so the order is a deterministic function of
     the graph, the signatures' live lengths, the open lengths and
     ``strata``.  Each vertex's axis length (1 before it joins the
-    frontier, its open length once finished) and their running product
+    frontier) and the product of the state's axes past the degree axis
     score a candidate in a few integer operations; the degree axis scales
     every candidate of a step alike, so it enters only the peak.  The peak
     counts the grown state and the state after each finished vertex's
     contraction, in the order the contraction takes them.
+
+    A step is a tuple (before, shape, keep, dst, src, finish): ``before``
+    is the state's shape once the endpoints new to the frontier have their
+    axes; the grown state of ``shape`` holds the state at ``keep`` and
+    adds it again from ``src`` to ``dst``, one count up on the degree axis
+    and on each endpoint's axis (two on a self-loop's).  ``finish`` holds
+    a tuple (vertex, perm, n, out, move) per vertex the edge finishes: the
+    state, its axes taken in ``perm`` order (the vertex's axis last), is
+    read as rows of ``n`` entries and multiplied by the first n rows of
+    the vertex's table; the product takes shape ``out`` and then, when
+    ``move`` is not None, that axis order.
     """
     edges = g.edges
-    remaining = g.degrees()
+    whole = slice(None)
+    degree = g.degrees()
+    remaining = list(degree)
     opened = opened or [1] * g.n
-    length = [1] * g.n
-    total = 1  # product of the frontier's axis lengths
+    length = [1] * g.n  # count axis length of a frontier vertex
     todo = list(range(g.m))  # ascending, so the first best has the lowest index
-    order = []
-    peak = 1
-    for step in range(g.m):
+    shape = [1]  # degree axis, open axes (latest finished first), frontier axes
+    done = []  # vertex of open axis 1 + i
+    frontier = []  # vertex of frontier axis 1 + len(done) + i
+    order, steps, peak = [], [], 1
+    for _ in range(g.m):
+        total = math.prod(shape[1:])
         best = None
         for e in todo:
             u, v = edges[e]
@@ -222,83 +249,92 @@ def _plan(g: Multigraph, live: list, strata: int, opened: list = None):
                 after = rest * (gu if remaining[u] > 1 else opened[u]) * (gv if remaining[v] > 1 else opened[v])
             if best is None or after < best_after or (after == best_after and size < best_size):
                 best, best_after, best_size = e, after, size
-        depth = min(step + 2, strata) if strata else 1
-        peak = max(peak, depth * best_size)
-        u, v = edges[best]
-        state = best_size
-        for w in dict.fromkeys((u, v)):
-            total //= length[w]
-            remaining[w] -= 2 if u == v else 1
-            length[w] = min(length[w] + (2 if u == v else 1), live[w])
-            if not remaining[w]:
-                state = state // length[w] * opened[w]
-                peak = max(peak, depth * state)
-                length[w] = opened[w]
-            total *= length[w]
         order.append(best)
         todo.remove(best)
-    return order, peak
-
-
-def _contract(g: Multigraph, sigs, order: list, live: list, strata: int, opened: list) -> np.ndarray:
-    """Run a plan: the state holds one degree axis, the open axes of the
-    finished vertices, and one count axis per frontier vertex, and every
-    axis grows only as edges are placed.  The degree axis stops at
-    ``strata`` entries; 0 keeps it at length 1, so the strata are summed.
-    A vertex of open length n > 1 carries the Hankel table H[j, t] =
-    f[j + t], t < n, and its contraction leaves the t axis right after the
-    degree axis; the result has its open axes in vertex order.
-
-    Exact tables are scaled to Python ints by the lcm of their
-    denominators, and the result is divided once by the product of those
-    scales, so the contraction never runs in Fraction arithmetic."""
-    scale = 1
-    if all(s.is_exact for s in sigs):
-        dtype = object
-        tables = []
-        for s in sigs:
-            lcm = math.lcm(*(x.denominator for x in s.values))
-            tables.append(np.array([int(x * lcm) for x in s.values], dtype=object))
-            scale *= lcm
-    else:
-        real = all(s.is_real for s in sigs)
-        dtype = float if real else complex
-        tables = [np.array([complex(x).real if real else complex(x) for x in s.values]) for s in sigs]
-    tables = [t if n == 1 else sliding_window_view(t, n) for t, n in zip(tables, opened)]
-    remaining = g.degrees()
-    frontier = []  # vertex of state axis 1 + len(done) + i
-    done = []  # vertex of open axis len(done) - i
-    state = np.ones(1, dtype=dtype)
-    for e in order:
-        u, v = g.edges[e]
-        for w in (u, v):
-            if w not in frontier:
-                frontier.append(w)
-                state = state[..., None]
+        u, v = edges[best]
+        ends, k = ((u,), 2) if u == v else ((u, v), 1)
+        new = [w for w in ends if remaining[w] == degree[w]]
+        frontier += new
+        shape += [1] * len(new)
+        before = tuple(shape)
+        keep, dst, src = [whole] * len(shape), [whole] * len(shape), [whole] * len(shape)
         lead = 1 + len(done)
-        shift = [1 if strata else 0] + [0] * (len(done) + len(frontier))
-        shift[lead + frontier.index(u)] += 1
-        shift[lead + frontier.index(v)] += 1
-        caps = [strata or 1] + list(state.shape[1:lead]) + [live[w] for w in frontier]
-        shape = tuple(min(n + s, c) for n, s, c in zip(state.shape, shift, caps))
+        axes = [0] + [lead + frontier.index(w) for w in ends]
+        for i, s, cap in zip(axes, (1 if strata else 0, k, k), [strata or 1] + [live[w] for w in ends]):
+            keep[i] = slice(shape[i])
+            n = shape[i] = min(shape[i] + s, cap)
+            dst[i], src[i] = slice(s, n), slice(max(n - s, 0))
+        grown = tuple(shape)
+        peak = max(peak, math.prod(grown))
+        for w, i in zip(ends, axes[1:]):
+            remaining[w] -= k
+            length[w] = grown[i]
+        finish = []
+        for w in ends:
+            if remaining[w]:
+                continue
+            i = 1 + len(done) + frontier.index(w)
+            perm = (*range(i), *range(i + 1, len(shape)), i)
+            n = shape.pop(i)
+            frontier.remove(w)
+            move = None
+            if opened[w] > 1:
+                shape.append(opened[w])
+                move = (0, len(shape) - 1, *range(1, len(shape) - 1))
+                done.insert(0, w)
+            finish.append((w, perm, n, tuple(shape), move))
+            if move:
+                shape.insert(1, shape.pop())
+            peak = max(peak, math.prod(shape))
+        if peak <= ENTRY_CAP:
+            steps.append((before, grown, tuple(keep), tuple(dst), tuple(src), tuple(finish)))
+    final = (0, *(1 + done.index(w) for w in sorted(done))) if done else None
+    return order, peak, steps, final
+
+
+def _contract(steps: list, final: tuple, sigs, opened: list) -> np.ndarray:
+    """Run a plan's steps (see _plan).  The state holds one degree axis,
+    the open axes of the finished vertices, and one count axis per
+    frontier vertex.  A vertex of open length n > 1 carries the Hankel
+    table H[j, t] = f[j + t], t < n, and its contraction leaves the t axis
+    right after the degree axis; the result has its open axes in vertex
+    order.  A finished vertex is contracted as np.tensordot would (a
+    matrix product of the state's rows and the table's), so the result is
+    the same to the bit.
+
+    One table is built per distinct (signature object, open length).  Exact
+    tables are scaled to Python ints by the lcm of their denominators, and
+    the result is divided once by the product of the vertices' scales, so
+    the contraction never runs in Fraction arithmetic."""
+    exact = all(s.is_exact for s in sigs)
+    real = exact or all(s.is_real for s in sigs)
+    dtype = object if exact else float if real else complex
+    # keyed by object, not by value: signatures that compare equal may
+    # still differ in their entries (1.0 and Fraction(1), 0.0 and -0.0)
+    keys = list(zip(map(id, sigs), opened))
+    built = {}
+    for key, s in zip(keys, sigs):
+        if key not in built:
+            lcm = math.lcm(*(x.denominator for x in s.values)) if exact else 1
+            t = np.array([int(x * lcm) if exact else complex(x).real if real else complex(x) for x in s.values], dtype)
+            built[key] = t.reshape(-1, 1) if key[1] == 1 else sliding_window_view(t, key[1]), lcm
+    per_vertex = [built[key] for key in keys]
+    tables = [t for t, _ in per_vertex]
+    scale = math.prod(lcm for _, lcm in per_vertex)
+    dot = np.dot
+    state = np.ones(1, dtype=dtype)
+    for before, shape, keep, dst, src, finish in steps:
+        state = state.reshape(before)
         grown = np.zeros(shape, dtype=dtype)
-        grown[tuple(slice(0, n) for n in state.shape)] = state
-        dst = tuple(slice(s, n) for n, s in zip(shape, shift))
-        src = tuple(slice(0, max(n - s, 0)) for n, s in zip(shape, shift))
+        grown[keep] = state
         grown[dst] += state[src]
         state = grown
-        remaining[u] -= 1
-        remaining[v] -= 1
-        for w in dict.fromkeys((u, v)):
-            if not remaining[w]:
-                i = 1 + len(done) + frontier.index(w)
-                state = np.tensordot(state, tables[w][: state.shape[i]], axes=([i], [0]))
-                frontier.remove(w)
-                if opened[w] > 1:
-                    state = np.moveaxis(state, -1, 1)
-                    done.append(w)
-    if done:
-        state = state.transpose([0] + [len(done) - done.index(w) for w in sorted(done)])
+        for w, perm, n, out, move in finish:
+            state = dot(state.transpose(perm).reshape(-1, n), tables[w][:n]).reshape(out)
+            if move:
+                state = state.transpose(move)
+    if final:
+        state = state.transpose(final)
     if scale != 1:
         state = np.array([Fraction(x, scale) for x in state.flat], dtype=object).reshape(state.shape)
     return state
@@ -317,15 +353,14 @@ def _contraction(g: Multigraph, sigs, strata: int, opened: list = None) -> np.nd
     open axes included, exceeds ENTRY_CAP entries is refused.
     """
     opened = opened or [1] * len(sigs)
-    live = _live_lengths(sigs, opened)
-    order, peak = _plan(g, live, strata, opened)
+    _, peak, steps, final = _plan(g, _live_lengths(sigs, opened), strata, opened)
     if peak > ENTRY_CAP:
         raise GuardExceeded(
             f"the contraction plan needs a state of {peak:,} entries, above the cap of {ENTRY_CAP:,}"
         )
     # float entries past 1.8e308 give inf, which the CLI refuses as non-finite
     with np.errstate(over="ignore", invalid="ignore"):
-        return _contract(g, sigs, order, live, strata, opened)
+        return _contract(steps, final, sigs, opened)
 
 
 def brute_force_coeffs(g: Multigraph, assign):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -77,6 +78,27 @@ def test_exact_command(capsys, files):
     assert code == 0
     doc = json.loads(out)
     assert doc["outcome"]["value"] == 10 and doc["outcome"]["exact"]
+
+
+def test_a_crlf_input_keeps_its_digest_and_its_parse(capsys, tmp_path):
+    # an input is read once: the report's digest is the sha256 of its raw
+    # bytes, and its text is read with universal newlines
+    texts = {"signature": "sig d=3 [1,1,0,0]\n", "graph": dump_graph(complete(4))}
+    outcomes = []
+    for sep in ("\n", "\r\n"):
+        paths, digests = [], {}
+        for name, text in texts.items():
+            raw = text.replace("\n", sep).encode()
+            path = tmp_path / f"{name}{len(sep)}"
+            path.write_bytes(raw)
+            paths.append(str(path))
+            digests[name] = hashlib.sha256(raw).hexdigest()[:16]
+        code, out, _ = run(capsys, "exact", *paths)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["inputs"] == digests
+        outcomes.append(doc["outcome"])
+    assert outcomes[0] == outcomes[1] == {"value": 10, "exact": True}
 
 
 def test_approx_routes_stable(capsys, files):

@@ -131,20 +131,22 @@ def test_Z_is_invariant_under_orthogonal_transforms_and_reversal(inst, t, reflec
 def multigraphs(draw):
     """A multigraph of up to 24 edges between up to 8 vertices, self-loops
     and parallel edges included, with a live length per vertex from 1 to
-    its degree + 1 and a strata of 0, 7 or m + 1."""
+    its degree + 1, an open length per vertex from 1 to 3, and a strata
+    of 0, 7 or m + 1."""
     n = draw(st.integers(1, 8))
     edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=24))
     g = Multigraph(n, tuple(edges))
     live = [draw(st.integers(1, d + 1)) for d in g.degrees()]
+    opened = [draw(st.integers(1, 3)) for _ in range(n)]
     strata = draw(st.sampled_from([0, 7, g.m + 1]))
-    return g, live, strata
+    return g, live, opened, strata
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(multigraphs())
 def test_plan_matches_the_reference_planner(inst):
-    g, live, strata = inst
-    assert _plan(g, live, strata) == reference_plan(g, live, strata)
+    g, live, opened, strata = inst
+    assert _plan(g, live, strata, opened)[:2] == reference_plan(g, live, strata, opened)
 
 
 @st.composite
