@@ -102,8 +102,10 @@ def naive_low_coeffs(g: Multigraph, f: SymmetricSignature, k: int):
     """Exact Z_0..Z_min(k, m) by the contraction, with the degree axis cut
     at k + 1.
 
-    Each vertex carries f cut to its degree, and an isolated vertex is the
-    factor f_0 = 1.  The full prefix (k >= m) is brute_force_coeffs; like
+    Each vertex carries f cut to its degree (one signature object per
+    degree, f itself at full arity), and an isolated vertex is the factor
+    f_0 = 1; a graph with none is contracted as it is, so its kept plans
+    serve a second call.  The full prefix (k >= m) is brute_force_coeffs; like
     a shorter one it is guarded only by the plan's entry cap.  Exact (list
     of Fractions) when f is rational, else a numpy vector, real when f is
     real.
@@ -115,9 +117,14 @@ def naive_low_coeffs(g: Multigraph, f: SymmetricSignature, k: int):
     if max(deg, default=0) > f.arity:
         raise ArgumentError("graph degree exceeds signature arity")
     kept = [v for v in range(g.n) if deg[v]]
-    pos = {v: i for i, v in enumerate(kept)}
-    h = Multigraph(len(kept), tuple((pos[u], pos[v]) for u, v in g.edges))
-    sigs = [SymmetricSignature(f.values[: deg[v] + 1]) for v in kept]
+    if len(kept) == g.n:
+        h = g  # the graph itself, whose plans are kept on it
+    else:
+        pos = {v: i for i, v in enumerate(kept)}
+        h = Multigraph(len(kept), tuple((pos[u], pos[v]) for u, v in g.edges))
+    # one signature object per degree, so the contraction builds one table each
+    cut = {d: f if d == f.arity else SymmetricSignature(f.values[: d + 1]) for d in {deg[v] for v in kept}}
+    sigs = [cut[deg[v]] for v in kept]
     out = brute_force_coeffs(h, sigs) if k >= g.m else _contraction(h, sigs, k + 1)
     if f.is_exact:
         return [Fraction(x) for x in out]

@@ -22,7 +22,10 @@ finished vertex, with one table per distinct signature.  The largest
 state is thus known before any work starts.  That size, not the edge
 count, sets the cost, so it is the only guard on exact work: a plan
 above ENTRY_CAP entries is refused with GuardExceeded before any array
-is allocated, and any plan below it runs.
+is allocated, and any plan below it runs.  A graph plans each (live
+lengths, strata, open lengths) once: it keeps its plans, so a second
+contraction of it, such as the evaluator's retry with another
+transform, runs the first one's plan.
 
 Gadget composition runs the same contraction once, on the inner graph
 with every edge subdivided by a vertex carrying the edge signature.  A
@@ -43,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -58,10 +61,16 @@ ENTRY_CAP = 1 << 24
 
 @dataclass(frozen=True)
 class Multigraph:
-    """Vertex count plus an ordered edge list; u == v is a self-loop."""
+    """Vertex count plus an ordered edge list; u == v is a self-loop.
+
+    ``_plans`` holds the contraction plans made for this graph, keyed by
+    (live lengths, strata, open lengths); it takes no part in equality, so
+    an equal graph built separately plans its own.
+    """
 
     n: int
     edges: tuple
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -306,8 +315,9 @@ def _contract(steps: list, final: tuple, sigs, opened: list) -> np.ndarray:
     tables are scaled to Python ints by the lcm of their denominators, and
     the result is divided once by the product of the vertices' scales, so
     the contraction never runs in Fraction arithmetic."""
-    exact = all(s.is_exact for s in sigs)
-    real = exact or all(s.is_real for s in sigs)
+    distinct = {id(s): s for s in sigs}.values()
+    exact = all(s.is_exact for s in distinct)
+    real = exact or all(s.is_real for s in distinct)
     dtype = object if exact else float if real else complex
     # keyed by object, not by value: signatures that compare equal may
     # still differ in their entries (1.0 and Fraction(1), 0.0 and -0.0)
@@ -350,10 +360,16 @@ def _contraction(g: Multigraph, sigs, strata: int, opened: list = None) -> np.nd
     more axis per vertex of open length n > 1, in vertex order, whose
     entry t is the sum with t of that vertex's open inputs set.  The plan
     is sized before any array is allocated; a plan whose largest state,
-    open axes included, exceeds ENTRY_CAP entries is refused.
+    open axes included, exceeds ENTRY_CAP entries is refused.  The graph
+    keeps its plans: a second contraction with the same live lengths,
+    strata and open lengths runs the first one's plan.
     """
     opened = opened or [1] * len(sigs)
-    _, peak, steps, final = _plan(g, _live_lengths(sigs, opened), strata, opened)
+    live = _live_lengths(sigs, opened)
+    key = (tuple(live), strata, tuple(opened))
+    if key not in g._plans:
+        g._plans[key] = _plan(g, live, strata, opened)
+    _, peak, steps, final = g._plans[key]
     if peak > ENTRY_CAP:
         raise GuardExceeded(
             f"the contraction plan needs a state of {peak:,} entries, above the cap of {ENTRY_CAP:,}"

@@ -217,17 +217,9 @@ def rotation_roots(f: SymmetricSignature, candidates) -> np.ndarray:
 
     ``candidates`` is a sequence of (w, convention, use_reversal).  Row i
     holds the d roots of ``local_polynomial(apply_holographic(target,
-    rotation_from_w(w, conv)))``, target = f or its reversal.
-
-    No transformed polynomial is built.  The transform substitutes M (u, v)
-    for the variables of f's binary form F(u, v) = sum_k C(d,k) f_k
-    u^(d-k) v^k, whose local polynomial is F(1, z); so it moves each zero
-    of F by adj(M).  A root t is the zero (1, t) and goes to
-    z = (t m00 - m10) / (m11 - t m01); each degree the local polynomial
-    lacks is a zero (0, 1) and goes to -m00/m01; the reversal swaps u and
-    v.  One ``find_roots`` call thus serves every row.  A zero sent to
-    infinity is a degree the transformed polynomial loses, given as -inf,
-    which no half-plane test counts.  For f = 0 the rows are 0.
+    rotation_from_w(w, conv)))``, target = f or its reversal: the rows of
+    ``_rotated_roots``, the one kernel that ``margin_search`` also scores.
+    A root sent to infinity is given as -inf; for f = 0 the rows are 0.
     """
     cands = list(candidates)
     if not cands:
@@ -236,24 +228,8 @@ def rotation_roots(f: SymmetricSignature, candidates) -> np.ndarray:
     ws = np.array(ws, dtype=float)
     if not np.all(np.isfinite(ws)) or not set(convs) <= {"delta0", "delta1"}:
         raise ArgumentError("rotations need a finite w and the convention delta0 or delta1")
-    poly = local_polynomial(f)
-    deg = poly.degree
-    if deg < 0:
-        return np.zeros((len(cands), f.arity), dtype=complex)
-    # the zeros (u, v) of F: (1, t) for each root t, (0, 1) for each missing degree
-    missing = f.arity - deg
-    u = np.concatenate([np.ones(deg), np.zeros(missing)])
-    v = np.concatenate([find_roots(poly) if deg else [], np.ones(missing)])
-    rev = np.array(revs, dtype=bool)[:, None]
-    u, v = np.where(rev, v, u), np.where(rev, u, v)
-    # entries of rotation_from_w, one row per candidate
-    flip = (np.array(convs) == "delta1")[:, None]
-    r = 1.0 / np.sqrt(1.0 + ws * ws)[:, None]
-    wr = ws[:, None] * r
-    m00, m01, m10, m11 = (np.where(flip, x, y) for x, y in ((wr, r), (r, wr), (r, -wr), (-wr, r)))
-    den = m11 * u - m01 * v
-    at_inf = den == 0
-    return np.where(at_inf, -math.inf, (m00 * v - m10 * u) / np.where(at_inf, 1.0, den))
+    flip = np.array(convs) == "delta1"
+    return _rotated_roots(_binary_zeros(f), f.arity, ws, flip, np.array(revs, dtype=bool))
 
 
 def rotation_margins(f: SymmetricSignature, candidates) -> np.ndarray:
@@ -265,6 +241,47 @@ def rotation_margins(f: SymmetricSignature, candidates) -> np.ndarray:
     roots from ``rotation_roots``.
     """
     return stable_margins(rotation_roots(f, candidates))
+
+
+def _binary_zeros(f: SymmetricSignature):
+    """The d zeros (u, v) of f's binary form F(u, v) = sum_k C(d,k) f_k
+    u^(d-k) v^k, as two arrays: (1, t) for each root t of the local
+    polynomial F(1, z), (0, 1) for each degree it lacks.  None for f = 0."""
+    poly = local_polynomial(f)
+    deg = poly.degree
+    if deg < 0:
+        return None
+    missing = f.arity - deg
+    u = np.concatenate([np.ones(deg), np.zeros(missing)])
+    v = np.concatenate([find_roots(poly) if deg else [], np.ones(missing)])
+    return u, v
+
+
+def _rotated_roots(zeros, arity: int, ws: np.ndarray, flip: np.ndarray, rev: np.ndarray) -> np.ndarray:
+    """Row i: the roots of the local polynomial of (f, or its reversal
+    where rev[i]) . rotation_from_w(ws[i], delta1 where flip[i], else
+    delta0), from f's ``zeros`` (see ``_binary_zeros``).
+
+    No transformed polynomial is built.  The transform substitutes M (u, v)
+    for the variables of F, so it moves each zero of F by adj(M): a zero
+    (u, v) goes to z = (v m00 - u m10) / (u m11 - v m01), and a zero with
+    u m11 = v m01 goes to infinity, a degree the transformed polynomial
+    loses, given as -inf, which no half-plane test counts.  The reversal
+    swaps u and v.  For f = 0 (zeros None) the rows are 0.
+    """
+    if zeros is None:
+        return np.zeros((len(ws), arity), dtype=complex)
+    u, v = zeros
+    rev = rev[:, None]
+    u, v = np.where(rev, v, u), np.where(rev, u, v)
+    # entries of rotation_from_w, one row per candidate
+    flip = flip[:, None]
+    r = 1.0 / np.sqrt(1.0 + ws * ws)[:, None]
+    wr = ws[:, None] * r
+    m00, m01, m10, m11 = (np.where(flip, x, y) for x, y in ((wr, r), (r, wr), (r, -wr), (-wr, r)))
+    den = m11 * u - m01 * v
+    at_inf = den == 0
+    return np.where(at_inf, -math.inf, (m00 * v - m10 * u) / np.where(at_inf, 1.0, den))
 
 
 # ----------------------------------------------------------------------
@@ -464,6 +481,9 @@ def _construction(f: SymmetricSignature, t: RecurrenceTriple):
     return None
 
 
+_CONVENTIONS = ("delta0", "delta1")
+
+
 def margin_search(f: SymmetricSignature):
     """Margin-maximizing orthogonal transform over the rotation family.
 
@@ -471,12 +491,16 @@ def margin_search(f: SymmetricSignature):
     conventions, f and its reversal).  It is the classifier's fallback
     when the construction fails its check, and the evaluator's retry when
     a larger margin is needed to open up a usable rung.
-    ``rotation_margins`` ranks each stage's candidates; the certificate
-    comes from ``_validate``, on the signature the evaluator evaluates.
-    Should it reject the winner, the other ranked candidates are tried in
-    decreasing margin order.  A stage costs one root solve:
-    ``rotation_margins`` moves f's own roots by each candidate's Moebius
-    map.
+
+    The search solves f's own local polynomial once: every candidate's
+    roots are f's zeros moved by its Moebius map (``_rotated_roots``), one
+    array of rows per stage, scored by ``stable_margins``.  Candidate i
+    of a stage is angle i // 4, convention delta1 when bit 1 of i is set,
+    and the reversal when bit 0 is; tan is taken once per angle.  The
+    certificate comes from ``_validate``, on the signature the evaluator
+    evaluates.  Should it reject the winner, the other candidates of both
+    stages with a margin are tried in decreasing margin order (ranked only
+    then).
 
     (w, delta0, reversal) and (-w, delta1, f) are the same transform: the
     reversal swaps the two variables of f's binary form, and that swap
@@ -488,31 +512,40 @@ def margin_search(f: SymmetricSignature):
     candidate in sweep order: by angle, then delta0 before delta1, then f
     before its reversal.
     """
-    best = None  # (margin, theta, convention, use_reversal)
-    ranked = []
+    zeros = _binary_zeros(f)
+    stages = []  # per stage: its angles and its candidates' margins
+    best = None  # (margin, stage, candidate index)
     thetas = np.linspace(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, 157)
-    for _stage in range(2):
-        grid = [(float(th), conv, use_rev) for th in thetas for conv in ("delta0", "delta1") for use_rev in (False, True)]
-        margins = rotation_margins(f, [(math.tan(th), conv, use_rev) for th, conv, use_rev in grid])
-        for cand, margin in zip(grid, margins):
-            if margin > -math.inf:
-                ranked.append((margin, *cand))
-                if best is None or margin > best[0] + MARGIN_TIE:
-                    best = ranked[-1]
+    for stage in range(2):
+        angles = thetas.tolist()
+        ws = np.repeat([math.tan(th) for th in angles], 4)
+        index = np.arange(len(ws))
+        margins = stable_margins(_rotated_roots(zeros, f.arity, ws, (index & 2) > 0, (index & 1) > 0)).tolist()
+        stages.append((angles, margins))
+        for i, margin in enumerate(margins):
+            if margin > -math.inf and (best is None or margin > best[0] + MARGIN_TIE):
+                best = (margin, stage, i)
         if best is None:
             return None
+        center = stages[best[1]][0][best[2] // 4]
         step = thetas[1] - thetas[0]
-        thetas = np.linspace(best[1] - step, best[1] + step, 41)
-    for _, th, conv, use_rev in _best_first(best, ranked):
-        M = rotation_from_w(math.tan(th), conv)
-        cert = _validate(f, M, use_rev)
+        thetas = np.linspace(center - step, center + step, 41)
+    for _, stage, i in _best_first(best, stages):
+        M = rotation_from_w(math.tan(stages[stage][0][i // 4]), _CONVENTIONS[i >> 1 & 1])
+        cert = _validate(f, M, bool(i & 1))
         if cert is not None:
-            return StableTransform(M, use_rev, cert, "margin-search")
+            return StableTransform(M, bool(i & 1), cert, "margin-search")
     return None
 
 
-def _best_first(best, ranked):
-    """best, then the other ranked candidates by decreasing margin (sorted
-    only if asked for)."""
+def _best_first(best, stages):
+    """best, then every other candidate with a margin, by decreasing
+    margin and then in sweep order (ranked only if asked for)."""
     yield best
-    yield from sorted((cand for cand in ranked if cand is not best), key=lambda cand: -cand[0])
+    rest = [
+        (margin, stage, i)
+        for stage, (_, margins) in enumerate(stages)
+        for i, margin in enumerate(margins)
+        if margin > -math.inf and (stage, i) != best[1:]
+    ]
+    yield from sorted(rest, key=lambda cand: -cand[0])

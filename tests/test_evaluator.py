@@ -432,3 +432,59 @@ def test_stop_index_guard(name, vals, eps, k_used, source, delta, estimate):
     assert res.diagnostics["transform_source"] == source
     assert res.delta == delta
     assert abs(res.estimate / estimate - 1) <= 1e-9
+
+
+def _record_plans(monkeypatch):
+    import holant.graphs as graphs
+
+    plans = []
+    plan = graphs._plan
+
+    def record(*args):
+        plans.append(args[1:])
+        return plan(*args)
+
+    monkeypatch.setattr(graphs, "_plan", record)
+    return plans
+
+
+def test_the_retry_runs_the_first_attempts_plan(monkeypatch):
+    # [1,2,3,4] on K4 retries with the margin search's transform; both
+    # attempts contract K4 with the same live lengths and strata, so the
+    # graph plans once, and the answer is the one of a run that plans twice
+    import holant.evaluator as ev
+    from holant.graphs import Multigraph
+
+    f = signature([1, 2, 3, 4])
+    plans = _record_plans(monkeypatch)
+    kept = approximate_Z(complete(4), f, 0.05)
+    assert list(kept.diagnostics["rung_verdicts"]) == ["constructive", "margin-search"]
+    assert len(plans) == 1
+
+    naive = ev.naive_low_coeffs
+    # each prefix on a fresh copy of the graph, which holds no plan yet
+    monkeypatch.setattr(ev, "naive_low_coeffs", lambda g, f, k: naive(Multigraph(g.n, g.edges), f, k))
+    plans.clear()
+    fresh = approximate_Z(complete(4), f, 0.05)
+    assert len(plans) == 2
+    for name in ("estimate", "log_estimate", "k_used", "delta", "transform", "scale_factor", "reversed", "converged"):
+        assert getattr(fresh, name) == getattr(kept, name)
+    assert np.array_equal(fresh.diagnostics["estimates"], kept.diagnostics["estimates"])
+    assert fresh.diagnostics["rung_verdicts"] == kept.diagnostics["rung_verdicts"]
+
+
+def test_the_evaluators_contraction_gets_one_signature_object(monkeypatch):
+    # every vertex of a regular graph carries the same cut of g', so the
+    # contraction builds one table and checks one signature's type
+    import holant.graphs as graphs
+
+    received = []
+    contract = graphs._contract
+
+    def record(steps, final, sigs, opened):
+        received.append({id(s) for s in sigs})
+        return contract(steps, final, sigs, opened)
+
+    monkeypatch.setattr(graphs, "_contract", record)
+    approximate_Z(random_regular(14, 3, 1), signature([1, 1, 0, 0]), 0.05)
+    assert received and all(len(ids) == 1 for ids in received)

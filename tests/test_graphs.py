@@ -755,3 +755,27 @@ def test_a_gadget_plan_is_refused_before_any_work(monkeypatch):
     monkeypatch.setattr(graphs, "_contract", never)
     with pytest.raises(GuardExceeded, match="512 entries"):
         compose_gadget(gadget, [1, 0, 1])
+
+
+def test_equal_graphs_parsed_apart_plan_their_own(monkeypatch):
+    # a graph keeps the plans made for it; an equal graph parsed from the
+    # same text is another object and reuses none of them
+    import holant.graphs as graphs
+    from holant.formats import dump_graph, parse_graph
+
+    plans = []
+    plan = graphs._plan
+
+    def record(*args):
+        plans.append(args)
+        return plan(*args)
+
+    monkeypatch.setattr(graphs, "_plan", record)
+    text = dump_graph(petersen())
+    a, b = parse_graph(text), parse_graph(text)
+    assert a == b and hash(a) == hash(b) and a is not b
+    f = signature([1, 1, 0, 0])
+    assert brute_force_Z(a, f) == brute_force_Z(b, f) == brute_force_Z(a, f)
+    assert len(plans) == 2  # one for a, one for b, none for a's second run
+    brute_force_coeffs(a, f)  # another stratum count: a plan of its own
+    assert len(plans) == 3

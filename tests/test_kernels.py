@@ -79,7 +79,9 @@ def direct_compose(c, phic, k):
 
 
 def scalar_margin_search(f):
-    """The two-stage rotation sweep, one h_eps_stability call per candidate."""
+    """The two-stage rotation sweep, one h_eps_stability call per
+    candidate: (margin, angle, convention, use_reversal) of the winner, or
+    None when no candidate certifies."""
     rev = reverse(f)
     best = None
     thetas = np.linspace(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, 157)
@@ -91,6 +93,8 @@ def scalar_margin_search(f):
                     cert = h_eps_stability(local_polynomial(apply_holographic(rev if use_rev else f, M)))
                     if cert is not None and (best is None or cert.margin > best[0] + tr.MARGIN_TIE):
                         best = (cert.margin, float(th), conv, use_rev)
+        if best is None:
+            return None
         step = thetas[1] - thetas[0]
         thetas = np.linspace(best[1] - step, best[1] + step, 41)
     return best
@@ -486,9 +490,10 @@ def test_margins_match_50_digit_roots(vals):
     assert stable > 0
 
 
-def test_a_margin_search_solves_f_once_per_stage(monkeypatch):
-    # one root solve per stage and one per certificate, not one
-    # eigenproblem per candidate (792 for these two stages)
+def test_a_margin_search_solves_f_once(monkeypatch):
+    # one root solve of f for both stages and one for the winner's
+    # certificate, not one eigenproblem per candidate (792 for the two
+    # stages) nor one per stage
     rows = []
     real = stability._companion_roots
 
@@ -500,7 +505,7 @@ def test_a_margin_search_solves_f_once_per_stage(monkeypatch):
     for vals in ([1, 2, 3, 4], [1, 1, 0, 0, 0]):
         rows.clear()
         assert tr.margin_search(signature(vals)) is not None
-        assert sum(rows) <= 3
+        assert sum(rows) <= 2
 
 
 @pytest.mark.parametrize("vals", [[3, 1, 1, 1], [1, 2, 3, 4], [1, 2, 1, 1], [1, 2, 3, 4, 5], [1, 1, 0, 0, 0]])
@@ -527,13 +532,22 @@ def test_margin_search_winner_survives_noise_below_the_tie_slack(monkeypatch):
     mirror = len(grid) - 1 - top  # the grid is symmetric under this reflection
     gap = margins[top] - margins[mirror]
     assert 0 < gap < tr.MARGIN_TIE
-    exact = tr.rotation_margins
+    exact = tr._rotated_roots
+    calls = []
 
-    def noisy(f, cands):
-        return [m - 2 * gap if rev == grid[top][2] else m for m, (_, _, rev) in zip(exact(f, cands), cands)]
+    def noisy(zeros, arity, ws, flip, rev):
+        # every root of a row moved right by 2 gap: its margin drops by 2 gap
+        calls.append(len(ws))
+        shift = np.where(rev == grid[top][2], 2 * gap, 0.0)[:, None]
+        return exact(zeros, arity, ws, flip, rev) + shift
 
-    monkeypatch.setattr(tr, "rotation_margins", noisy)
+    ws, convs, revs = (np.array(x) for x in zip(*grid))
+    swapped = stability.stable_margins(noisy(tr._binary_zeros(f), f.arity, ws, convs == "delta1", revs))
+    assert 0 < swapped[mirror] - swapped[top] < tr.MARGIN_TIE  # the noise swaps the pair
+    calls.clear()
+    monkeypatch.setattr(tr, "_rotated_roots", noisy)
     got = tr.margin_search(f)
+    assert calls == [len(grid), 164]  # both stages were scored by the noisy kernel
     assert got.matrix == want.matrix
     assert got.use_reversal == want.use_reversal
 

@@ -3,7 +3,8 @@ edges, with self-loops and parallel edges: well past the old edge limits,
 with only the contraction plan guarding the work.  Gadget composition's
 one contraction against one per count vector.  The Newton round trip
 between coefficients and inverse power sums.  The rotated roots of the
-margin search against the polynomials they stand for.  And `holant
+margin search against the polynomials they stand for, and its pick
+against a sweep of one stability check per candidate.  And `holant
 approx` on generated signatures: right, refused or flagged, never a
 crash."""
 
@@ -35,8 +36,10 @@ from holant.graphs import (
     random_regular,
 )
 from holant.signatures import SymmetricSignature, local_polynomial, reverse
-from holant.transform import apply_holographic, rotation_from_w, rotation_roots
+from holant.stability import find_roots
+from holant.transform import apply_holographic, margin_search, rotation_from_w, rotation_roots
 from test_graphs import assert_composes_as_the_reference, reference_plan
+from test_kernels import scalar_margin_search
 
 PROFILE = settings(max_examples=20, derandomize=True, deadline=None)
 
@@ -233,6 +236,44 @@ def test_rotated_roots_meet_the_root_contract(quarters, w, conv, use_rev):
     for r in finite:
         residual = np.polyval(c[::-1], r) if abs(r) <= 1 else np.polyval(c, 1 / r)
         assert abs(residual) <= 1e-8 * np.max(np.abs(c))
+
+
+@PROFILE
+@given(
+    st.floats(0.1, 2.0),
+    st.integers(3, 6).flatmap(
+        lambda d: st.lists(st.one_of(st.floats(0.01, 3), st.floats(0.01, 50), st.floats(0.01, 1e3)), min_size=d, max_size=d)
+    ),
+)
+def test_margin_search_picks_what_the_scalar_sweep_picks(f0, rest):
+    # the batched sweep, which moves f's roots, against one h_eps_stability
+    # call per candidate.  (th, conv, f) and (-th, the other conv, the
+    # reversal) are one transform, whose two margins differ by rounding;
+    # the sweep may take either twin, and then their margins agree.
+    # The reference is trusted only where f's roots lie apart: a rotation
+    # keeps their chordal distances, and at a multiple root the companion
+    # eigenvalues of each rotated polynomial lose about half their digits,
+    # enough to move the reference's pick ([1.5, 1.5, 1.5, 1.5], one
+    # triple root).  The sweep's own roots are held to 50-digit ones there
+    # by tests/test_kernels.py.  Entries are positive, so f keeps its
+    # degree and has no zero at infinity.
+    f = SymmetricSignature((f0, *rest))
+    roots = find_roots(local_polynomial(f))
+    chordal = np.abs(roots[:, None] - roots) / np.sqrt(np.outer(1 + np.abs(roots) ** 2, 1 + np.abs(roots) ** 2))
+    assume(np.min(chordal + np.eye(len(roots))) >= 1e-3)
+    want = scalar_margin_search(f)
+    got = margin_search(f)
+    if want is None:
+        assert got is None
+        return
+    margin, th, conv, use_rev = want
+    picked = (got.matrix, got.use_reversal)
+    if picked == (rotation_from_w(math.tan(th), conv), use_rev):
+        assert got.certificate.margin == margin
+    else:
+        other = "delta1" if conv == "delta0" else "delta0"
+        assert picked == (rotation_from_w(math.tan(-th), other), not use_rev)
+        assert abs(got.certificate.margin - margin) <= 1e-8 * margin
 
 
 # the graphs an approx run of each arity draws from
